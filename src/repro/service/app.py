@@ -277,8 +277,12 @@ class CampaignService:
             if self.journal is not None:
                 doc["journal"] = self.journal.stats.to_dict()
             return 200, doc, None, None
+        # Scrapes walk and stat every cache entry: run them on a pool
+        # thread so a large cache never stalls the other clients.
         if path == "/metrics" and method == "GET":
-            text = self._metrics_document()
+            text = await asyncio.get_running_loop().run_in_executor(
+                None, self._metrics_document
+            )
             return (
                 200,
                 {},
@@ -286,7 +290,10 @@ class CampaignService:
                 {"Content-Type": "text/plain; version=0.0.4"},
             )
         if path == "/cache" and method == "GET":
-            return 200, self.cache.info(), None, None
+            info = await asyncio.get_running_loop().run_in_executor(
+                None, self.cache.info
+            )
+            return 200, info, None, None
         if path == "/jobs" and method == "GET":
             return (
                 200,
@@ -588,11 +595,15 @@ class ServiceHandle:
     async def _shutdown(self) -> None:
         await self.service.aclose()
         # Idle keep-alive connections still sit in a read; cancel them
-        # so the loop stops clean instead of warning about them.
+        # and let them finish while the loop still runs. A handler left
+        # suspended would run its ``finally`` (``writer.close()``) only
+        # when garbage-collected, after the loop has closed, and raise
+        # from whatever code the collector happened to interrupt.
         current = asyncio.current_task()
-        for task in asyncio.all_tasks():
-            if task is not current:
-                task.cancel()
+        pending = [task for task in asyncio.all_tasks() if task is not current]
+        for task in pending:
+            task.cancel()
+        await asyncio.gather(*pending, return_exceptions=True)
 
     def __enter__(self) -> "ServiceHandle":
         return self

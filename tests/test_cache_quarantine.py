@@ -2,9 +2,17 @@
 
 Covers all three read paths — ``get``, ``get_executive`` and the
 ``verify()`` scan — against truncated, zero-byte, wrong-schema and
-wrong-version ``.npz`` entries, and asserts the grid runners recompute
-bit-exact results afterwards.
+wrong-version ``.npz`` entries, and against damage only the entry
+reader's own checks can catch (a CRC mismatch in a member that still
+inflates, a bad ``.npy`` header, a damaged central directory, a
+truncated end record). Asserts the grid runners recompute bit-exact
+results afterwards.
 """
+
+import io
+import struct
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -77,11 +85,69 @@ def _wrong_version(path):
     np.savez(path, **blob)
 
 
+def _flip_inflatable_byte(path):
+    """Flip one deflated byte of an array payload so that the member
+    still inflates to its declared size and a well-formed ``.npy`` file,
+    with other values: only the CRC-32 can tell."""
+    blob = bytearray(path.read_bytes())
+    infos = zipfile.ZipFile(io.BytesIO(bytes(blob))).infolist()
+    for info in sorted(infos, key=lambda i: i.filename != "backup_ticks.npy"):
+        name_len, extra_len = struct.unpack_from("<2H", blob, info.header_offset + 26)
+        start = info.header_offset + 30 + name_len + extra_len
+        stop = start + info.compress_size
+        original = zlib.decompress(bytes(blob[start:stop]), -15)
+        header_end = original.index(b"\n") + 1
+        for offset in range(start, stop):
+            blob[offset] ^= 0x01
+            try:
+                inflated = zlib.decompress(bytes(blob[start:stop]), -15)
+            except zlib.error:
+                inflated = b""
+            if (
+                len(inflated) == len(original)
+                and inflated[:header_end] == original[:header_end]
+                and inflated != original
+            ):
+                path.write_bytes(bytes(blob))
+                return
+            blob[offset] ^= 0x01
+    raise AssertionError("no inflatable single-byte corruption found")
+
+
+def _flip_npy_header_byte(path):
+    """Rewrite the entry, CRCs valid, with one flipped byte in the
+    ``shape`` of ``bit_schedule``'s ``.npy`` header."""
+    with zipfile.ZipFile(path) as archive:
+        members = [(i.filename, archive.read(i)) for i in archive.infolist()]
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as archive:
+        for name, data in members:
+            if name == "bit_schedule.npy":
+                data = bytearray(data)
+                data[data.index(b"'shape': (") + len(b"'shape': (")] ^= 0x01
+            archive.writestr(name, bytes(data))
+
+
+def _damage_central_directory(path):
+    """Flip the first name byte of the first central-directory entry."""
+    blob = bytearray(path.read_bytes())
+    (cd_offset,) = struct.unpack_from("<L", blob, len(blob) - 6)
+    blob[cd_offset + 46] ^= 0x01
+    path.write_bytes(bytes(blob))
+
+
+def _truncate_end_record(path):
+    path.write_bytes(path.read_bytes()[:-5])
+
+
 CORRUPTIONS = {
     "truncated": _truncate,
     "zero-byte": _zero_byte,
     "wrong-schema": _wrong_schema,
     "wrong-version": _wrong_version,
+    "inflatable-crc-mismatch": _flip_inflatable_byte,
+    "npy-header-byte": _flip_npy_header_byte,
+    "central-directory": _damage_central_directory,
+    "truncated-end-record": _truncate_end_record,
 }
 
 

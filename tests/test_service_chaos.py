@@ -296,11 +296,22 @@ def test_torn_and_corrupt_lines_recover_with_skips(tmp_path):
         handle.close()
 
 
-def test_resubmission_after_crash_lands_on_recovered_job(tmp_path):
+def test_resubmission_after_crash_lands_on_recovered_job(tmp_path, monkeypatch):
     payload = _grid_payload(bits=(3, 5))
     journal_path = tmp_path / "journal.jsonl"
     (job_id,) = _seed_journal(journal_path, [payload], start_event=True)
 
+    # Dedup applies only to *active* jobs: hold the recovered job until
+    # the resubmission is acknowledged, or a fast run could finish it
+    # first and the resubmission would rightly get a fresh job.
+    acknowledged = threading.Event()
+    real_execute = service_queue.execute_campaign
+
+    def _gated_execute(campaign, cancel_event=None):
+        acknowledged.wait(timeout=60.0)
+        return real_execute(campaign, cancel_event=cancel_event)
+
+    monkeypatch.setattr(service_queue, "execute_campaign", _gated_execute)
     handle = start_in_thread(
         tmp_path / "cache", capacity=8, workers=1, journal=str(journal_path)
     )
@@ -309,12 +320,14 @@ def test_resubmission_after_crash_lands_on_recovered_job(tmp_path):
         # resubmits blindly; the content hash routes it to the
         # journal-recovered job instead of a duplicate.
         job = http_submit(handle.base_url, payload)
+        acknowledged.set()
         assert job["id"] == job_id
         assert job["recovered"] is True
         assert job.get("deduplicated") is True
         done = http_wait(handle.base_url, job_id, timeout=300)
         assert done["status"] == "done"
     finally:
+        acknowledged.set()
         handle.close()
 
 
@@ -414,7 +427,21 @@ def test_journal_fsync_disabled_still_round_trips(tmp_path):
 # -- graceful drain -----------------------------------------------------------
 
 
-def test_drain_refuses_then_requeues_then_restart_completes(tmp_path):
+def test_drain_refuses_then_requeues_then_restart_completes(
+    tmp_path, monkeypatch
+):
+    # Pin the interleaving: the first job is running (not still queued,
+    # not already done) when the drain begins, and the second is queued.
+    started = threading.Event()
+    release = threading.Event()
+    real_execute = service_queue.execute_campaign
+
+    def _gated_execute(campaign, cancel_event=None):
+        started.set()
+        release.wait(timeout=60.0)
+        return real_execute(campaign, cancel_event=cancel_event)
+
+    monkeypatch.setattr(service_queue, "execute_campaign", _gated_execute)
     journal_path = tmp_path / "journal.jsonl"
     handle = start_in_thread(
         tmp_path / "cache",
@@ -423,14 +450,16 @@ def test_drain_refuses_then_requeues_then_restart_completes(tmp_path):
         journal=str(journal_path),
         drain_timeout_s=60.0,
     )
-    finishing = http_submit(handle.base_url, _grid_payload(bits=(3, 5)))
-    stranded = http_submit(handle.base_url, _grid_payload(bits=(4, 6)))
     try:
+        finishing = http_submit(handle.base_url, _grid_payload(bits=(3, 5)))
+        assert started.wait(timeout=30.0)
+        stranded = http_submit(handle.base_url, _grid_payload(bits=(4, 6)))
         request = urllib.request.Request(
             f"{handle.base_url}/", method="DELETE"
         )
         with urllib.request.urlopen(request, timeout=10) as response:
             doc = json.loads(response.read())
+        release.set()
         assert doc["draining"] is True
 
         # While draining, submissions bounce with 503 + Retry-After.
@@ -448,6 +477,7 @@ def test_drain_refuses_then_requeues_then_restart_completes(tmp_path):
         assert int(excinfo.value.headers["Retry-After"]) >= 1
         assert json.loads(excinfo.value.read())["draining"] is True
     finally:
+        release.set()
         handle.close()
 
     # The drain let the running job finish and durably requeued the

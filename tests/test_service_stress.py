@@ -26,6 +26,7 @@ from repro.analysis.engine import GridSpec, fixed_entry_bytes, run_grid
 from repro.service import (
     http_cache_info,
     http_health,
+    http_metrics,
     http_results,
     http_submit,
     http_wait,
@@ -332,3 +333,28 @@ def test_close_mid_job_cancels_and_joins_workers(tmp_path):
         doc = handle.service.queue.get(job["id"])
         assert doc is not None
         assert doc.status in ("done", "cancelled")
+
+
+@pytest.mark.parametrize("scrape", [http_metrics, http_cache_info])
+def test_scrapes_do_not_stall_the_event_loop(service, monkeypatch, scrape):
+    """``/metrics`` and ``/cache`` walk the whole cache through
+    ``cache.info``; that walk runs on a pool thread, so a slow scrape
+    never delays another client's request."""
+    cache = service.service.cache
+    real_info = cache.info
+    scraping = threading.Event()
+
+    def _slow_info():
+        scraping.set()
+        time.sleep(0.3)
+        return real_info()
+
+    monkeypatch.setattr(cache, "info", _slow_info)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(scrape, service.base_url)
+        assert scraping.wait(timeout=10.0)
+        t0 = time.perf_counter()
+        assert http_health(service.base_url)["status"] == "ok"
+        elapsed = time.perf_counter() - t0
+        assert pending.result(timeout=10.0)
+    assert elapsed < 0.15
