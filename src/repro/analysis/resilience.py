@@ -6,9 +6,10 @@ reduces the run to a :class:`ResiliencePoint` — availability, quality
 and every detection/fallback counter of the hardened restore path.
 Points are small JSON summaries, cached content-addressed next to the
 fixed/executive entries (``res-`` filename prefix) and executed through
-the same robust grid core (retries, timeouts, pool degradation,
-telemetry), so a cached campaign replays the same fallback counts and
-quality scores bit-for-bit.
+the engine's one task pipeline (:func:`repro.analysis.engine.run_tasks`
+with the :data:`~repro.analysis.engine.RESILIENCE` kind: memo, cache,
+retries, timeouts, pool degradation, telemetry), so a cached campaign
+replays the same fallback counts and quality scores bit-for-bit.
 
 :class:`ResilienceCampaign` sweeps fault rates x retention policies x
 kernels and emits quality-vs-fault-rate and availability curves — the
@@ -21,7 +22,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -31,19 +31,14 @@ from .._validation import check_int_in_range, check_non_negative, check_probabil
 from ..core.executive import ExecutiveResult
 from ..errors import ConfigurationError
 from ..resilience import ResilienceConfig
-from . import faults, telemetry
-from ..obs import capture as obs_capture
+from . import telemetry
 from .engine import (
     ENGINE_CACHE_VERSION,
+    RESILIENCE,
     ExecutiveTask,
     ResultCache,
-    _CONFIG,
-    _resolve_robustness,
-    _run_robust,
-    _tracer_payload,
-    _worker_tracer,
-    default_cache,
     derive_task_seed,
+    run_tasks,
 )
 from .reporting import format_table
 
@@ -56,10 +51,6 @@ __all__ = [
     "resilience_payload_error",
     "corrupt_resilience_point",
 ]
-
-#: In-process memo of computed points (cleared by ``engine.reset()``).
-_POINT_MEMO: Dict[str, "ResiliencePoint"] = {}
-
 
 @dataclass(frozen=True)
 class ResilienceTask:
@@ -288,22 +279,6 @@ def corrupt_resilience_point(point: ResiliencePoint) -> ResiliencePoint:
     )
 
 
-def _timed_run_resilience(
-    task: ResilienceTask,
-    engine: str,
-    spec: Optional[faults.FaultSpec],
-    obs_level: Optional[str] = None,
-) -> Tuple[ResiliencePoint, float, Optional[Dict[str, object]]]:
-    """Pool entry: fault application + worker-measured wall time."""
-    start = time.perf_counter()
-    faults.apply_pre_fault(spec)
-    tracer = _worker_tracer(obs_level)
-    point = task.run(engine=engine, tracer=tracer)
-    if spec is not None and spec.kind == "corrupt":
-        point = corrupt_resilience_point(point)
-    return point, time.perf_counter() - start, _tracer_payload(tracer)
-
-
 def run_resilience_grid(
     tasks: Sequence[ResilienceTask],
     workers: Optional[int] = None,
@@ -315,99 +290,24 @@ def run_resilience_grid(
 ) -> Tuple[ResiliencePoint, ...]:
     """Run every :class:`ResilienceTask`; points return in task order.
 
-    The resilience twin of ``run_executive_grid``: same robust core
-    (retries, timeouts, pool degradation, per-run telemetry with
-    ``kind="resilience"``), same in-process memo discipline, and the
-    same content-addressed on-disk cache — points are stored as small
-    ``res-`` prefixed JSON entries, so a warm campaign replays its
-    fallback counts and quality scores without simulating.
+    :func:`~repro.analysis.engine.run_tasks` with the
+    :data:`~repro.analysis.engine.RESILIENCE` kind: the same memo,
+    robust core (retries, timeouts, pool degradation, per-run telemetry
+    with ``kind="resilience"``) and content-addressed on-disk cache as
+    the other grids — points are stored as small ``res-`` prefixed JSON
+    entries, so a warm campaign replays its fallback counts and quality
+    scores without simulating. An entry whose JSON does not match the
+    :class:`ResiliencePoint` schema is quarantined and recomputed.
     """
-    tasks = tuple(tasks)
-    settings = _resolve_robustness(
-        workers, task_timeout_s, retries, retry_backoff_s
-    )
-    use_cache = bool(_CONFIG["use_cache"])
-    use_memo = use_cache and bool(_CONFIG["use_memo"])
-    if cache is None and use_cache:
-        cache = default_cache()
-    elif not use_cache:
-        cache = None
-
     # Resilience grids always carry a context label: runners inside a
     # ``telemetry.context(...)`` block keep their artifact label (as the
     # 21 experiment runners do), while direct CLI invocations fall back
     # to "resilience" instead of an anonymous empty string.
-    report = telemetry.RunReport(
-        kind="resilience",
-        context=telemetry.current_context() or "resilience",
-        engine=engine,
-        workers=settings.workers,
-        n_tasks=len(tasks),
-        started_at=telemetry.now(),
-    )
-    start = time.perf_counter()
-    misses_before = cache.misses if cache is not None else 0
-    quarantines_before = cache.quarantines if cache is not None else 0
-
-    keys = [task.cache_key() for task in tasks]
-    results: Dict[int, ResiliencePoint] = {}
-    pending: List[int] = []
-    for index, key in enumerate(keys):
-        hit = _POINT_MEMO.get(key) if use_memo else None
-        status = "memo-hit"
-        if hit is None and cache is not None:
-            payload = cache.get_point(key)
-            if payload is not None:
-                try:
-                    hit = ResiliencePoint.from_dict(payload)
-                except (TypeError, ValueError):
-                    # Readable JSON with a stale/foreign schema: treat
-                    # as a miss and overwrite with a fresh point.
-                    hit = None
-            status = "cache-hit"
-        if hit is not None:
-            results[index] = hit
-            report.merge_task(
-                telemetry.TaskTelemetry(
-                    index=index, label=key[:12], status=status, engine=engine
-                )
-            )
-        else:
-            pending.append(index)
-    if cache is not None:
-        report.cache_misses = cache.misses - misses_before
-        report.quarantines = cache.quarantines - quarantines_before
-
-    try:
-        if pending:
-            obs_level = obs_capture.capture_level()
-            computed = _run_robust(
-                pending,
-                worker_fn=_timed_run_resilience,
-                args_for=lambda index, spec: (
-                    tasks[index], engine, spec, obs_level
-                ),
-                label_for=lambda index: keys[index][:12],
-                validate=resilience_payload_error,
-                scope="resilience",
-                settings=settings,
-                engine=engine,
-                report=report,
-            )
-            results.update(computed)  # type: ignore[arg-type]
-            if cache is not None:
-                for index in pending:
-                    cache.put_point(keys[index], results[index].to_dict())
-    finally:
-        report.wall_s = time.perf_counter() - start
-        telemetry.record(report)
-
-    if use_memo:
-        # Points are frozen value objects: safe to share, no defensive
-        # copies needed (unlike the array-carrying result kinds).
-        for index in range(len(tasks)):
-            _POINT_MEMO.setdefault(keys[index], results[index])
-    return tuple(results[index] for index in range(len(tasks)))
+    with telemetry.context(telemetry.current_context() or "resilience"):
+        return run_tasks(
+            tasks, RESILIENCE, workers, cache, engine,
+            task_timeout_s, retries, retry_backoff_s,
+        )
 
 
 @dataclass(frozen=True)

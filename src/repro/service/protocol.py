@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import telemetry
 from ..analysis.engine import (
+    EXECUTIVE,
     ExecutiveTask,
     FixedBitTask,
     GridSpec,
@@ -276,7 +277,7 @@ def execute_campaign(
                 lines.append(
                     _entry_line(
                         i,
-                        f"exec-{task.cache_key()}.npz",
+                        f"{EXECUTIVE.prefix}{task.cache_key()}.npz",
                         executive_entry_bytes(result),
                     )
                 )

@@ -57,7 +57,7 @@ def _seed_executive_entry(cache):
     engine.run_executive_grid([EXEC_TASK], workers=1, cache=cache)
     engine.clear_memory_cache()
     key = EXEC_TASK.cache_key()
-    path = cache._exec_path(key)
+    path = cache._path(key, engine.EXECUTIVE)
     assert path.exists()
     return key, path
 
@@ -185,7 +185,7 @@ def test_get_executive_quarantines_and_recomputes(tmp_path, corrupt):
     clean = engine.run_executive_grid([EXEC_TASK], workers=1, cache=cache)
     engine.clear_memory_cache()
     key = EXEC_TASK.cache_key()
-    path = cache._exec_path(key)
+    path = cache._path(key, engine.EXECUTIVE)
     corrupt(path)
 
     assert cache.get_executive(key) is None
@@ -224,6 +224,38 @@ def test_verify_scan_quarantines_both_kinds(tmp_path, corrupt):
 
     # A second scan finds nothing left to check or quarantine.
     assert cache.verify() == {"checked": 0, "ok": 0, "quarantined": 0}
+
+
+def test_foreign_schema_resilience_point_is_quarantined(tmp_path):
+    """A readable ``res-`` entry whose JSON is not a ResiliencePoint is
+    corrupt like any other: quarantined and missed, never served."""
+    from repro.analysis.resilience import ResilienceCampaign
+
+    campaign = ResilienceCampaign(
+        rates=(0.0,), policies=("linear",), duration_s=0.3,
+        frame_period_ticks=1_500,
+    )
+    cache = engine.ResultCache(tmp_path)
+    (clean,) = campaign.run(workers=1, cache=cache).points
+    engine.clear_memory_cache()
+    (task,) = campaign.tasks()
+    path = tmp_path / f"res-{task.cache_key()}.npz"
+    foreign = engine.point_entry_bytes({**clean.to_dict(), "bogus_field": 1})
+    path.write_bytes(foreign)
+
+    hits_before = cache.hits
+    (again,) = campaign.run(workers=1, cache=cache).points
+    assert again == clean
+    assert cache.hits == hits_before
+    report = telemetry.last_report(kind="resilience")
+    assert report.cache_misses == 1
+    assert report.quarantines == 1
+    assert report.computed == 1
+    assert (cache.quarantine_dir / path.name).read_bytes() == foreign
+
+    # The verify scan applies the same schema check.
+    path.write_bytes(foreign)
+    assert cache.verify() == {"checked": 1, "ok": 0, "quarantined": 1}
 
 
 def test_verify_scan_keeps_healthy_entries(tmp_path):

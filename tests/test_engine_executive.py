@@ -170,7 +170,7 @@ def test_executive_cache_corrupt_entry_is_a_miss(tmp_path):
     task = _task()
     key = task.cache_key()
     cache.put_executive(key, task.run())
-    cache._exec_path(key).write_bytes(b"not an npz")
+    cache._path(key, engine.EXECUTIVE).write_bytes(b"not an npz")
     assert cache.get_executive(key) is None
 
 

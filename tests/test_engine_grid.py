@@ -172,6 +172,100 @@ def test_use_cache_false_bypasses_all_caching(tmp_path):
     assert len(list(tmp_path.glob("*.npz"))) == 0
 
 
+# -- task kinds ---------------------------------------------------------------
+
+
+def _kind_tasks(kind):
+    """Three small, distinct tasks of ``kind``."""
+    if kind is engine.FIXED:
+        return [
+            engine.FixedBitTask(profile_id=p, bits=b, kernel="median", duration_s=0.3)
+            for p, b in ((1, 8), (2, 3), (3, 5))
+        ]
+    executive = [
+        engine.ExecutiveTask(
+            kernel="median", policy="linear", profile_id=p, minbits=2,
+            duration_s=0.3, frame_period_ticks=1_500,
+        )
+        for p in (1, 2, 3)
+    ]
+    if kind is engine.EXECUTIVE:
+        return executive
+    from repro.analysis.resilience import ResilienceTask
+
+    return [
+        ResilienceTask(base=task, rate=0.05, device_seed=i)
+        for i, task in enumerate(executive)
+    ]
+
+
+_KIND_EQUAL = {
+    "fixed": engine.simulation_results_equal,
+    "executive": engine.executive_results_equal,
+    "resilience": lambda a, b: a == b,
+}
+
+_REPORT_COUNTERS = (
+    "n_tasks", "memo_hits", "cache_hits", "cache_misses", "quarantines",
+    "computed", "retries", "crashes", "timeouts", "corrupt_payloads",
+    "pool_failures", "degraded", "failed",
+)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [engine.FIXED, engine.EXECUTIVE, engine.RESILIENCE],
+    ids=lambda kind: kind.name,
+)
+def test_task_kind_record(tmp_path, kind):
+    from repro.analysis import faults, telemetry
+
+    tasks = _kind_tasks(kind)
+    equal = _KIND_EQUAL[kind.name]
+    value = tasks[0].run()
+
+    # The codec round-trips and is byte-stable.
+    data = kind.encode(value)
+    decoded = kind.decode(data)
+    assert equal(decoded, value)
+    assert kind.encode(decoded) == data
+
+    # The validator accepts honest payloads and rejects corrupted ones.
+    assert kind.validate(value) is None
+    assert kind.validate(kind.corrupt(value)) is not None
+
+    # Entries route to the kind's shard, by filename prefix.
+    cache = engine.ShardedResultCache(tmp_path / "sharded", hot_bytes=0)
+    key = tasks[0].cache_key()
+    cache.put(key, value, kind)
+    path = cache._path(key, kind)
+    assert path.name == f"{kind.prefix}{key}.npz"
+    assert path.parent.name == engine.shard_for_name(path.name) == kind.name
+    assert path.read_bytes() == data
+    assert equal(cache.get(key, kind), value)
+    assert cache.verify() == {"checked": 1, "ok": 1, "quarantined": 0}
+
+    # Any worker count gives the same results and report counters, with
+    # a seeded crash retried under the kind's fault scope.
+    engine.configure(use_cache=False)
+    runs = []
+    for workers in (1, 2):
+        plan = faults.FaultPlan.seeded(3, n_tasks=3, crashes=1, scope=kind.name)
+        with faults.injected(plan):
+            results = engine.run_tasks(
+                tasks, kind, workers=workers, retry_backoff_s=0.0,
+                engine="reference" if kind is engine.RESILIENCE else "auto",
+            )
+        report = telemetry.last_report(kind=kind.name)
+        runs.append((results, {c: getattr(report, c) for c in _REPORT_COUNTERS}))
+    (serial, serial_counts), (pooled, pooled_counts) = runs
+    assert len(serial) == len(pooled) == 3
+    assert all(equal(a, b) for a, b in zip(serial, pooled))
+    assert serial_counts == pooled_counts
+    assert serial_counts["computed"] == 3
+    assert serial_counts["crashes"] == serial_counts["retries"] == 1
+
+
 def test_cache_key_includes_engine_version(monkeypatch, tmp_path):
     task = engine.FixedBitTask(profile_id=1, bits=8, duration_s=0.3)
     before = task.cache_key()
