@@ -739,8 +739,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             default=None,
             metavar="BYTES",
             help=(
-                "max estimated plan bytes per batch-tier chunk; 0 "
-                "removes the byte budget (default: 256 MiB)"
+                "max plan bytes per batch-tier chunk, counted as the "
+                "chunk's trace ticks x 33 B; 0 removes the byte budget "
+                "(default: 256 MiB)"
             ),
         )
         p.add_argument(

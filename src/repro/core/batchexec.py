@@ -2,8 +2,8 @@
 
 The executive analog of :mod:`repro.system.batchsim`: a grid of
 :class:`~repro.core.executive.IncidentalExecutive` runs shares one
-ragged :class:`~repro.system.batchsim.BatchTracePlan` (padded trace
-slots + valid-length masks) and each lane replays through a compiled
+ragged :class:`~repro.system.batchsim.BatchTracePlan` (one exact-length
+array set per trace slot) and each lane replays through a compiled
 kernel (:mod:`repro._accel`) that ports the
 :func:`~repro.core.fastexec.fast_executive_run` loop *and* the
 executive's frame bookkeeping (arrivals, current-frame selection, the
@@ -238,8 +238,8 @@ def run_executive_batch(
         ip = np.array(
             [
                 n,
-                int(plan.nonsticky_len[slot]),
-                1 if plan.has_direct[slot] else 0,
+                len(plan.nonsticky[slot]),
+                0 if plan.direct[slot] is None else 1,
                 ex.current_minbits,
                 ex.current_maxbits,
                 ex.lane_minbits,
@@ -276,7 +276,7 @@ def run_executive_batch(
 
         status = _accel.exec_replay(
             plan.conv[slot],
-            plan.direct[slot] if plan.direct is not None else None,
+            plan.direct[slot],
             plan.sticky[slot],
             plan.nonsticky[slot],
             power_mw,
@@ -327,7 +327,6 @@ def run_executive_batch(
             )
 
         n_backups = int(iout[7])
-        converted_view = plan.converted_row(slot)
         sim = SimulationResult(
             total_ticks=n,
             forward_progress=int(iout[0]),
@@ -336,7 +335,7 @@ def run_executive_batch(
             restore_count=int(iout[8]),
             on_ticks=int(iout[4]),
             income_energy_uj=ex.trace.total_energy_uj,
-            converted_energy_uj=float(converted_view.sum() * TICK_S),
+            converted_energy_uj=float(plan.conv[slot].sum() * TICK_S),
             run_energy_uj=float(dout[0]),
             backup_energy_uj=float(dout[1]),
             restore_energy_uj=float(dout[2]),

@@ -28,6 +28,7 @@ kernels (Section 3.2).
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from typing import Dict, Tuple, Type
 
@@ -50,6 +51,17 @@ __all__ = [
 
 #: Default word width of the 8051-class NVP datapath.
 DEFAULT_WORD_BITS: int = 8
+
+#: Bound (entries) of the process-wide relative-write-energy memo. A
+#: run prices a handful of (policy, width, scale, cell) combinations;
+#: the bound only caps what a long-lived process can accumulate.
+WRITE_ENERGY_MEMO_SIZE: int = 256
+
+# Relative write energy by value: key -> ratio, evicted oldest-first.
+# The ratio is a pure function of the key, so a hit returns the very
+# double a fresh computation would. Errors are raised, never stored.
+_WRITE_ENERGY_MEMO: Dict[Tuple, float] = {}
+_WRITE_ENERGY_LOCK = threading.Lock()
 
 
 class RetentionPolicy(ABC):
@@ -126,17 +138,39 @@ class RetentionPolicy(ABC):
             )
         )
 
+    def _energy_key(self) -> Tuple:
+        """Everything the shaped retention times depend on.
+
+        A subclass with state of its own that shapes retention must
+        extend this key, or the write-energy memo would conflate
+        policies that differ in that state.
+        """
+        return (type(self), self.word_bits, self.time_scale)
+
     def relative_write_energy(self, cell: STTRAMModel) -> float:
         """Word write energy relative to a full-retention (1 day) backup.
 
         This ratio is what scales the system simulator's backup cost;
         the log policy yields the smallest ratio, parabola the largest
         of the three shaped policies.
+
+        Memoised by value: the key (:meth:`_energy_key` plus the frozen
+        ``cell``) is taken at call time, so a mutated policy is priced
+        afresh, and equal policies share one entry however many
+        instances exist.
         """
-        baseline = UniformRetention(
-            RETENTION_ONE_DAY_S, word_bits=self.word_bits
-        ).word_write_energy_pj(cell)
-        return self.word_write_energy_pj(cell) / baseline
+        key = (self._energy_key(), cell)
+        ratio = _WRITE_ENERGY_MEMO.get(key)
+        if ratio is None:
+            baseline = UniformRetention(
+                RETENTION_ONE_DAY_S, word_bits=self.word_bits
+            ).word_write_energy_pj(cell)
+            ratio = self.word_write_energy_pj(cell) / baseline
+            with _WRITE_ENERGY_LOCK:
+                if len(_WRITE_ENERGY_MEMO) >= WRITE_ENERGY_MEMO_SIZE:
+                    del _WRITE_ENERGY_MEMO[next(iter(_WRITE_ENERGY_MEMO))]
+                _WRITE_ENERGY_MEMO[key] = ratio
+        return ratio
 
     def __repr__(self) -> str:
         return (
@@ -201,6 +235,9 @@ class UniformRetention(RetentionPolicy):
 
     def _raw_retention_ticks(self, bit_index: int) -> float:
         return self.retention_s / TICK_S
+
+    def _energy_key(self) -> Tuple:
+        return super()._energy_key() + (self.retention_s,)
 
     def __repr__(self) -> str:
         return (

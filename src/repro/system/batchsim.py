@@ -7,13 +7,14 @@ module stacks a whole grid into one **ragged batch**:
 
 * every distinct (trace, front-end config) pair becomes one *slot* —
   its converted/bypass income series, the sticky-zero outage mask and
-  the precomputed outage/income skip schedules are built once and
-  padded into (S, n_max) arrays with per-slot valid lengths
-  (:class:`BatchTracePlan`);
+  the precomputed outage/income skip schedules are built once, each
+  as a 1-D array exactly as long as the slot's data
+  (:class:`BatchTracePlan`), so the plan costs the sum of its slots'
+  ticks and nothing for the spread of their lengths;
 * every grid point becomes a *lane* referencing a slot plus its own
   scalar constants (thresholds, reserve, backup-cost table), and the
   replay loop runs in a compiled kernel (:mod:`repro._accel`) over the
-  slot's row views.
+  slot's arrays.
 
 The batch path is required to be **bit-exact**: every lane's
 :class:`SimulationResult` is identical field for field to what
@@ -73,40 +74,32 @@ def batch_available() -> bool:
 
 @dataclass(frozen=True)
 class BatchTracePlan:
-    """Padded per-slot trace precomputation shared by a batch.
+    """Ragged per-slot trace precomputation shared by a batch.
 
     One *slot* per distinct (trace, front-end config) pair; lanes map
-    onto slots via :attr:`slot_of`. All 2-D arrays are padded to the
-    longest slot; :attr:`lengths` carries each slot's valid tick count
-    and :meth:`valid_mask` materialises it as a boolean mask. Padding
-    is never read by the replay kernel (its loop stops at the valid
-    length), so its value is immaterial; zeros are used throughout
-    except for the skip schedules, which pad with ``n`` (one past the
-    last valid tick) to keep them sorted.
+    onto slots via :attr:`slot_of`. Every per-slot array is 1-D and
+    exactly as long as its data: slot ``s`` owns ``lengths[s]`` ticks
+    and its skip schedules hold only real tick indices. Nothing is
+    padded, so a plan costs the sum of its slots' ticks, not the
+    slot count times the longest one.
     """
 
-    #: Per-slot valid tick counts (S,).
+    #: Per-slot tick counts (S,).
     lengths: np.ndarray
     #: Lane -> slot index (L,).
     slot_of: np.ndarray
-    #: Storage-channel income per tick, padded (S, n_max) float64.
-    conv: np.ndarray
-    #: Bypass-channel income (dual-channel slots), padded; ``None``
-    #: when no slot uses a dual-channel front end.
-    direct: Optional[np.ndarray]
-    #: Per-slot flag: does this slot use the bypass channel? (S,) bool.
-    has_direct: np.ndarray
-    #: Sticky-zero outage mask, padded (S, n_max) uint8: from an empty
+    #: Storage-channel income per tick, one float64 array per slot.
+    conv: Tuple[np.ndarray, ...]
+    #: Bypass-channel income per slot, ``None`` for slots whose front
+    #: end has no bypass channel.
+    direct: Tuple[Optional[np.ndarray], ...]
+    #: Sticky-zero outage mask per slot (uint8): from an empty
     #: capacitor, this tick provably ends back at exactly 0.0.
-    sticky: np.ndarray
-    #: Sorted non-sticky tick indices, padded with ``n`` (S, k_max).
-    nonsticky: np.ndarray
-    #: Valid entry count of each ``nonsticky`` row (S,).
-    nonsticky_len: np.ndarray
-    #: Sorted positive-income tick indices, padded with ``n`` (S, m_max).
-    income: np.ndarray
-    #: Valid entry count of each ``income`` row (S,).
-    income_len: np.ndarray
+    sticky: Tuple[np.ndarray, ...]
+    #: Sorted non-sticky tick indices per slot (int64).
+    nonsticky: Tuple[np.ndarray, ...]
+    #: Sorted positive-income tick indices per slot (int64).
+    income: Tuple[np.ndarray, ...]
 
     def __len__(self) -> int:
         return int(self.slot_of.shape[0])
@@ -114,15 +107,6 @@ class BatchTracePlan:
     @property
     def n_slots(self) -> int:
         return int(self.lengths.shape[0])
-
-    def valid_mask(self) -> np.ndarray:
-        """Boolean (S, n_max) mask of valid (non-padding) ticks."""
-        n_max = self.conv.shape[1]
-        return np.arange(n_max)[None, :] < self.lengths[:, None]
-
-    def converted_row(self, slot: int) -> np.ndarray:
-        """The slot's unpadded converted-income series (a view)."""
-        return self.conv[slot, : int(self.lengths[slot])]
 
 
 def _slot_key(trace: PowerTrace, config: SystemConfig) -> Tuple[int, SystemConfig]:
@@ -137,30 +121,29 @@ def build_trace_plan(
     Precomputes, per distinct (trace, config) slot, exactly what
     ``fast_fixed_run`` precomputes per task — front-end conversion,
     bypass series, the sticky-zero predicate and the sorted skip
-    schedules — using the identical IEEE-754 operations, then pads
-    everything to the longest slot.
+    schedules — using the identical IEEE-754 operations.
     """
     slots: Dict[Tuple[int, SystemConfig], int] = {}
-    slot_conv: List[np.ndarray] = []
-    slot_direct: List[Optional[np.ndarray]] = []
-    slot_sticky: List[np.ndarray] = []
-    slot_nonsticky: List[np.ndarray] = []
-    slot_income: List[np.ndarray] = []
+    conv: List[np.ndarray] = []
+    direct: List[Optional[np.ndarray]] = []
+    sticky: List[np.ndarray] = []
+    nonsticky: List[np.ndarray] = []
+    income: List[np.ndarray] = []
     slot_of = np.zeros(len(entries), dtype=np.int64)
 
     for lane, (trace, config) in enumerate(entries):
         key = _slot_key(trace, config)
         slot = slots.get(key)
         if slot is None:
-            slot = len(slot_conv)
+            slot = len(conv)
             slots[key] = slot
             samples = trace.samples_uw
             frontend = config.build_frontend()
             converted = frontend.convert_trace(samples)
-            direct = None
+            bypass = None
             if isinstance(frontend, DualChannelFrontend):
-                direct = samples * frontend.bypass_efficiency
-                direct[samples < frontend.min_input_uw] = 0.0
+                bypass = samples * frontend.bypass_efficiency
+                bypass[samples < frontend.min_input_uw] = 0.0
             dt = TICK_S
             capacity = float(config.capacitor_uj)
             leak_frac = float(config.capacitor_leak_per_s)
@@ -168,93 +151,83 @@ def build_trace_plan(
             off_e = float(config.off_leakage_uw) * dt
             inc0 = np.minimum(converted * dt, capacity)
             loss0 = np.minimum(inc0, inc0 * leak_frac * dt + floor_e)
-            sticky = (inc0 - loss0) <= off_e
-            slot_conv.append(np.ascontiguousarray(converted, dtype=np.float64))
-            slot_direct.append(
+            is_sticky = (inc0 - loss0) <= off_e
+            conv.append(np.ascontiguousarray(converted, dtype=np.float64))
+            direct.append(
                 None
-                if direct is None
-                else np.ascontiguousarray(direct, dtype=np.float64)
+                if bypass is None
+                else np.ascontiguousarray(bypass, dtype=np.float64)
             )
-            slot_sticky.append(sticky.astype(np.uint8))
-            slot_nonsticky.append(np.flatnonzero(~sticky).astype(np.int64))
-            slot_income.append(np.flatnonzero(converted > 0.0).astype(np.int64))
+            sticky.append(is_sticky.view(np.uint8))
+            nonsticky.append(
+                np.flatnonzero(~is_sticky).astype(np.int64, copy=False)
+            )
+            income.append(
+                np.flatnonzero(converted > 0.0).astype(np.int64, copy=False)
+            )
         slot_of[lane] = slot
 
-    n_slots = len(slot_conv)
-    lengths = np.array([len(c) for c in slot_conv], dtype=np.int64)
-    n_max = int(lengths.max()) if n_slots else 0
-    k_max = max((len(a) for a in slot_nonsticky), default=0)
-    m_max = max((len(a) for a in slot_income), default=0)
-
-    conv = np.zeros((n_slots, n_max), dtype=np.float64)
-    sticky = np.zeros((n_slots, n_max), dtype=np.uint8)
-    nonsticky = np.zeros((n_slots, k_max), dtype=np.int64)
-    income = np.zeros((n_slots, m_max), dtype=np.int64)
-    nonsticky_len = np.zeros(n_slots, dtype=np.int64)
-    income_len = np.zeros(n_slots, dtype=np.int64)
-    has_direct = np.zeros(n_slots, dtype=bool)
-    any_direct = any(d is not None for d in slot_direct)
-    direct = np.zeros((n_slots, n_max), dtype=np.float64) if any_direct else None
-
-    for s in range(n_slots):
-        n = int(lengths[s])
-        conv[s, :n] = slot_conv[s]
-        sticky[s, :n] = slot_sticky[s]
-        ns = slot_nonsticky[s]
-        nonsticky[s, : len(ns)] = ns
-        nonsticky[s, len(ns):] = n
-        nonsticky_len[s] = len(ns)
-        inc = slot_income[s]
-        income[s, : len(inc)] = inc
-        income[s, len(inc):] = n
-        income_len[s] = len(inc)
-        if slot_direct[s] is not None:
-            has_direct[s] = True
-            direct[s, :n] = slot_direct[s]  # type: ignore[index]
-
     return BatchTracePlan(
-        lengths=lengths,
+        lengths=np.array([len(c) for c in conv], dtype=np.int64),
         slot_of=slot_of,
-        conv=conv,
-        direct=direct,
-        has_direct=has_direct,
-        sticky=sticky,
-        nonsticky=nonsticky,
-        nonsticky_len=nonsticky_len,
-        income=income,
-        income_len=income_len,
+        conv=tuple(conv),
+        direct=tuple(direct),
+        sticky=tuple(sticky),
+        nonsticky=tuple(nonsticky),
+        income=tuple(income),
     )
 
 
 # -- chunk planning -----------------------------------------------------------
 #
-# A single global plan pads every slot to the longest trace in the
-# grid: (S, n_max) float64/int64 arrays whose footprint — and, worse,
-# whose explicit pad *writes* (the skip schedules fill with ``n`` past
-# the valid length) — scale as S x n_max even when most slots are far
-# shorter. Chunking packs length-similar slots together so each shard
-# pads only to its own longest member, bounding both memory and the
-# pad-write cost; because the replay kernel never reads padding, any
-# chunking of a grid is bit-exact with the unchunked plan by
-# construction (pinned by ``tests/test_batch_chunks.py``).
+# A plan stores each of its slots' ticks once, so a chunk's footprint
+# is the sum of its slots' lengths. Chunking bounds that sum (and the
+# lane count) per shard and, when a split grid goes to the process
+# pool, cuts it finer so the pool's queue can even out the load.
+# Because a lane reads nothing but its own slot, any chunking of a
+# grid is bit-exact with the unchunked plan by construction (pinned by
+# ``tests/test_batch_chunks.py``).
 
-#: Worst-case plan bytes per (slot, tick): conv float64 + sticky uint8
+#: Worst-case plan bytes per slot tick: conv float64 + sticky uint8
 #: + nonsticky int64 + income int64 + optional direct float64. The
-#: skip schedules are at most one entry per tick, so this bounds them.
+#: skip schedules hold at most one entry per tick, so this bounds them.
 _PLAN_BYTES_PER_TICK = 33
 
 
 def estimate_plan_bytes(lengths: Sequence[int]) -> int:
-    """Upper-bound the padded-plan footprint for slots of ``lengths``.
+    """Upper-bound the plan footprint for slots of ``lengths``.
 
     ``lengths`` holds one entry per *slot* (distinct (trace, config)
-    pair); the estimate is ``n_slots * max(lengths)`` ticks at the
-    worst-case per-tick width, matching how :func:`build_trace_plan`
-    pads every per-slot array to the longest member.
+    pair). :func:`build_trace_plan` stores every slot's ticks once, so
+    the bound is their sum at the worst-case per-tick width.
     """
-    if not lengths:
-        return 0
-    return int(len(lengths)) * int(max(lengths)) * _PLAN_BYTES_PER_TICK
+    return sum(int(n) for n in lengths) * _PLAN_BYTES_PER_TICK
+
+
+def _pack_units(
+    units: Sequence[Tuple[int, int, List[int]]],
+    max_lanes: Optional[int],
+    max_ticks: Optional[int],
+) -> List[List[int]]:
+    """Fill chunks with ``units`` in order, opening a new chunk whenever
+    the next unit would push the open one past either budget. A unit is
+    never split, so a chunk may exceed ``max_ticks`` only by holding a
+    single unit."""
+    chunks: List[List[int]] = []
+    cur: List[int] = []
+    cur_ticks = 0
+    for length, _, lanes in units:
+        if cur and (
+            (max_lanes is not None and len(cur) + len(lanes) > max_lanes)
+            or (max_ticks is not None and cur_ticks + length > max_ticks)
+        ):
+            chunks.append(cur)
+            cur, cur_ticks = [], 0
+        cur.extend(lanes)
+        cur_ticks += length
+    if cur:
+        chunks.append(cur)
+    return chunks
 
 
 def chunk_lane_indices(
@@ -262,6 +235,7 @@ def chunk_lane_indices(
     keys: Optional[Sequence] = None,
     max_lanes: Optional[int] = None,
     max_bytes: Optional[int] = None,
+    workers: int = 1,
 ) -> List[List[int]]:
     """Partition lanes into memory-bounded, dedup-aware chunks.
 
@@ -273,22 +247,30 @@ def chunk_lane_indices(
     keys:
         Optional per-lane dedup keys: lanes with equal keys share one
         plan slot (same (trace, config) precompute) and are kept in
-        the same chunk whenever budgets allow, so the shared slot is
-        built once per chunk rather than once per lane. ``None``
-        treats every lane as its own slot.
+        the same chunk whenever the lane budget allows, so the shared
+        slot is built once per chunk rather than once per lane.
+        ``None`` treats every lane as its own slot.
     max_lanes:
-        Lane-count budget per chunk (``--batch-chunk-lanes``).
+        Lane-count budget per chunk (``--batch-chunk-lanes``). The only
+        budget that splits a dedup group.
     max_bytes:
-        Padded-plan byte budget per chunk, compared against
-        :func:`estimate_plan_bytes`. A chunk always admits at least
-        one dedup group even when that group alone exceeds the budget
-        (budgets bound waste, they cannot split a slot).
+        Plan byte budget per chunk, compared against
+        :func:`estimate_plan_bytes` of the chunk's slots. A chunk always
+        admits at least one dedup group even when that group alone
+        exceeds the budget (budgets bound memory, they cannot split a
+        slot).
+    workers:
+        Size of the process pool the chunks will run on. When the
+        budgets split the grid and ``workers > 1``, the groups are
+        re-packed into chunks of at most ``ceil(total slot ticks /
+        (2 * workers))`` ticks (and still within both budgets), so the
+        pool's queue can balance the load. A grid the budgets leave
+        whole stays one chunk.
 
     Returns a list of chunks — each a sorted list of original lane
     indices — covering every lane exactly once. The partition is a
     pure function of the arguments (deterministic): groups are packed
-    longest-first so a chunk's padding is set by its first member and
-    only length-similar slots share a shard.
+    longest-first, so the pool starts on the heaviest chunks.
     """
     n_lanes = len(lengths)
     if keys is not None and len(keys) != n_lanes:
@@ -299,6 +281,7 @@ def chunk_lane_indices(
         max_lanes = check_int_in_range(max_lanes, "max_lanes", 1, 1 << 40)
     if max_bytes is not None:
         max_bytes = check_int_in_range(max_bytes, "max_bytes", 1, 1 << 60)
+    workers = check_int_in_range(workers, "workers", 1)
     if n_lanes == 0:
         return []
     if max_lanes is None and max_bytes is None:
@@ -328,29 +311,16 @@ def chunk_lane_indices(
             units.append((length, order, lanes))
     units.sort(key=lambda u: (-u[0], u[1]))
 
-    chunks: List[List[int]] = []
-    cur: List[int] = []
-    cur_slots = 0
-    cur_ticks = 0  # n_max of the open chunk (first unit, longest-first)
-    for length, _, lanes in units:
-        if cur:
-            over_lanes = (
-                max_lanes is not None and len(cur) + len(lanes) > max_lanes
-            )
-            over_bytes = (
-                max_bytes is not None
-                and (cur_slots + 1) * cur_ticks * _PLAN_BYTES_PER_TICK
-                > max_bytes
-            )
-            if over_lanes or over_bytes:
-                chunks.append(cur)
-                cur, cur_slots, cur_ticks = [], 0, 0
-        if not cur:
-            cur_ticks = length
-        cur.extend(lanes)
-        cur_slots += 1
-    if cur:
-        chunks.append(cur)
+    # An integer tick count t has t * 33 > max_bytes exactly when
+    # t > max_bytes // 33, so the byte budget is a tick budget.
+    max_ticks = None if max_bytes is None else max_bytes // _PLAN_BYTES_PER_TICK
+    chunks = _pack_units(units, max_lanes, max_ticks)
+    if len(chunks) > 1 and workers > 1:
+        total = sum(length for length, _, _ in units)
+        share = -(-total // (2 * workers))
+        if max_ticks is not None:
+            share = min(share, max_ticks)
+        chunks = _pack_units(units, max_lanes, share)
     for chunk in chunks:
         chunk.sort()
     return chunks
@@ -492,11 +462,11 @@ def _fixed_lane_setup(
     ip = np.array(
         [
             n,
-            int(plan.nonsticky_len[slot]),
-            int(plan.income_len[slot]),
+            len(plan.nonsticky[slot]),
+            len(plan.income[slot]),
             int(spec.bits),
             int(spec.simd_width),
-            1 if plan.has_direct[slot] else 0,
+            0 if plan.direct[slot] is None else 1,
             n,  # backup_ticks capacity: one backup needs >= 1 run tick
         ],
         dtype=np.int64,
@@ -550,7 +520,7 @@ def run_fixed_batch(
         dout = np.zeros(3, dtype=np.float64)
         status = _accel.fixed_replay(
             plan.conv[slot],
-            plan.direct[slot] if plan.direct is not None else None,
+            plan.direct[slot],
             plan.sticky[slot],
             plan.nonsticky[slot],
             plan.income[slot],
@@ -573,7 +543,6 @@ def run_fixed_batch(
             continue
         committed = int(iout[0])
         n_backups = int(iout[2])
-        converted_view = plan.converted_row(slot)
         result = SimulationResult(
             total_ticks=n,
             forward_progress=committed,
@@ -582,7 +551,7 @@ def run_fixed_batch(
             restore_count=int(iout[3]),
             on_ticks=int(iout[1]),
             income_energy_uj=setup.income_energy_uj,
-            converted_energy_uj=float(converted_view.sum() * TICK_S),
+            converted_energy_uj=float(plan.conv[slot].sum() * TICK_S),
             run_energy_uj=float(dout[0]),
             backup_energy_uj=float(dout[1]),
             restore_energy_uj=float(dout[2]),

@@ -1,17 +1,17 @@
 """Property tests for the ragged batch-plan representation.
 
-:func:`repro.system.batchsim.build_trace_plan` stacks per-(trace,
+:func:`repro.system.batchsim.build_trace_plan` stores per-(trace,
 config) precomputation — converted income, bypass series, the
-sticky-zero outage mask, the sorted outage/income skip schedules —
-into padded arrays with valid-length masks. These tests pin the
-representation itself: every slot row must round-trip exactly against
-the per-task formulas ``fast_fixed_run`` uses (same IEEE-754 ops),
-padding must be inert (``n``-sentinels for schedules, zeros past each
-lane's length), deduplication must key on (trace identity, config),
-and degenerate income patterns — zero-outage, all-outage,
-back-to-back bursts — must produce the masks the scalar replay
-expects. No compiled kernel is needed: the plan is pure numpy, so this
-suite runs even where the accelerator cannot build.
+sticky-zero outage mask, the sorted outage/income skip schedules — as
+one exact-length array per slot. These tests pin the representation
+itself: every slot array must round-trip exactly against the per-task
+formulas ``fast_fixed_run`` uses (same IEEE-754 ops) and be exactly as
+long as its data, with the dtype and layout the kernels read;
+deduplication must key on (trace identity, config); and degenerate
+income patterns — zero-outage, all-outage, back-to-back bursts — must
+produce the masks the scalar replay expects. No compiled kernel is
+needed: the plan is pure numpy, so this suite runs even where the
+accelerator cannot build.
 """
 
 import random
@@ -53,25 +53,25 @@ def _expected_precompute(trace, config):
     }
 
 
+def _assert_exact(array, expected, dtype):
+    """``array`` holds exactly ``expected``, as contiguous ``dtype``."""
+    assert array.dtype == dtype
+    assert array.flags.c_contiguous
+    assert array.shape == np.shape(expected)
+    np.testing.assert_array_equal(array, expected)
+
+
 def _assert_slot_round_trips(plan, slot, trace, config):
     expected = _expected_precompute(trace, config)
-    n = int(plan.lengths[slot])
-    assert n == len(trace)
-    np.testing.assert_array_equal(plan.conv[slot, :n], expected["converted"])
-    np.testing.assert_array_equal(
-        plan.sticky[slot, :n].astype(bool), expected["sticky"]
-    )
-    k = int(plan.nonsticky_len[slot])
-    np.testing.assert_array_equal(plan.nonsticky[slot, :k], expected["nonsticky"])
-    assert np.all(plan.nonsticky[slot, k:] == n)
-    m = int(plan.income_len[slot])
-    np.testing.assert_array_equal(plan.income[slot, :m], expected["income"])
-    assert np.all(plan.income[slot, m:] == n)
+    assert int(plan.lengths[slot]) == len(trace)
+    _assert_exact(plan.conv[slot], expected["converted"], np.float64)
+    _assert_exact(plan.sticky[slot], expected["sticky"].astype(np.uint8), np.uint8)
+    _assert_exact(plan.nonsticky[slot], expected["nonsticky"], np.int64)
+    _assert_exact(plan.income[slot], expected["income"], np.int64)
     if expected["direct"] is None:
-        assert not plan.has_direct[slot]
+        assert plan.direct[slot] is None
     else:
-        assert plan.has_direct[slot]
-        np.testing.assert_array_equal(plan.direct[slot, :n], expected["direct"])
+        _assert_exact(plan.direct[slot], expected["direct"], np.float64)
 
 
 def _bursty_trace(rng, n, name):
@@ -112,19 +112,16 @@ class TestRoundTrip:
         plan = build_trace_plan([(constant_trace, config)])
         n = len(constant_trace)
         assert not plan.sticky[0].any()
-        assert int(plan.nonsticky_len[0]) == n
-        np.testing.assert_array_equal(plan.nonsticky[0, :n], np.arange(n))
+        np.testing.assert_array_equal(plan.nonsticky[0], np.arange(n))
         _assert_slot_round_trips(plan, 0, constant_trace, config)
 
     def test_all_outage_lane(self, dead_trace):
         """Dead trace: every tick sticky, both schedules empty."""
         config = SystemConfig()
         plan = build_trace_plan([(dead_trace, config)])
-        n = len(dead_trace)
-        assert plan.sticky[0, :n].all()
-        assert int(plan.nonsticky_len[0]) == 0
-        assert np.all(plan.nonsticky[0] == n)
-        assert int(plan.income_len[0]) == 0
+        assert plan.sticky[0].all()
+        assert len(plan.nonsticky[0]) == 0
+        assert len(plan.income[0]) == 0
         _assert_slot_round_trips(plan, 0, dead_trace, config)
 
     def test_back_to_back_outages(self):
@@ -138,49 +135,31 @@ class TestRoundTrip:
         expected = _expected_precompute(trace, config)
         # The mask alternates with the income: dead ticks are sticky.
         assert expected["sticky"][1::2].all()
-        assert plan.sticky[0, 1::2].all()
-        assert not plan.sticky[0, :1000:2].any()
+        assert plan.sticky[0][1::2].all()
+        assert not plan.sticky[0][::2].any()
 
 
-class TestPaddingAndMasks:
-    def test_mixed_lengths_pad_to_longest(self):
-        config = SystemConfig()
+class TestExactLengths:
+    def test_slot_arrays_have_exact_lengths(self):
+        """Mixed lengths: no slot grows to the longest slot's length."""
+        config = SystemConfig(dual_channel=True)
         traces = [
             PowerTrace(np.full(n, 400.0), name=f"n{n}") for n in (100, 700, 350)
         ]
         plan = build_trace_plan([(t, config) for t in traces])
-        assert plan.conv.shape == (3, 700)
+        np.testing.assert_array_equal(plan.lengths, [100, 700, 350])
         for slot, trace in enumerate(traces):
             n = len(trace)
-            assert int(plan.lengths[slot]) == n
-            # Padding past each lane's length is inert zeros.
-            assert np.all(plan.conv[slot, n:] == 0.0)
-            assert np.all(plan.sticky[slot, n:] == 0)
-
-    def test_valid_mask_matches_lengths(self):
-        config = SystemConfig()
-        traces = [PowerTrace(np.full(n, 400.0), name=f"m{n}") for n in (50, 20)]
-        plan = build_trace_plan([(t, config) for t in traces])
-        mask = plan.valid_mask()
-        assert mask.shape == plan.conv.shape
-        np.testing.assert_array_equal(mask.sum(axis=1), plan.lengths)
-        assert mask[0, :50].all() and not mask[1, 20:].any()
-
-    def test_converted_row_is_unpadded_view(self):
-        config = SystemConfig()
-        short = PowerTrace(np.full(30, 400.0), name="short")
-        long = PowerTrace(np.full(90, 400.0), name="long")
-        plan = build_trace_plan([(short, config), (long, config)])
-        row = plan.converted_row(0)
-        assert len(row) == 30
-        assert row.base is not None  # a view, not a copy
+            for array in (plan.conv, plan.sticky, plan.direct):
+                assert array[slot].shape == (n,)
+            _assert_slot_round_trips(plan, slot, trace, config)
 
 
 class TestDeduplication:
     def test_same_trace_and_config_share_a_slot(self, trace1):
         config = SystemConfig()
         plan = build_trace_plan([(trace1, config)] * 4)
-        assert plan.conv.shape[0] == 1
+        assert plan.n_slots == 1
         assert np.all(plan.slot_of == 0)
 
     def test_distinct_configs_get_distinct_slots(self, trace1):
@@ -191,7 +170,7 @@ class TestDeduplication:
                 (trace1, SystemConfig()),
             ]
         )
-        assert plan.conv.shape[0] == 2
+        assert plan.n_slots == 2
         assert plan.slot_of[0] == plan.slot_of[2] != plan.slot_of[1]
 
     def test_entry_permutation_permutes_slot_of(self, trace1, trace2):
@@ -201,4 +180,4 @@ class TestDeduplication:
         swapped = build_trace_plan(entries[::-1])
         for lane, (trace, cfg) in enumerate(entries[::-1]):
             _assert_slot_round_trips(swapped, int(swapped.slot_of[lane]), trace, cfg)
-        assert plan.conv.shape[0] == swapped.conv.shape[0] == 2
+        assert plan.n_slots == swapped.n_slots == 2

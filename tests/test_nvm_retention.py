@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.energy.traces import TICK_S
-from repro.errors import RetentionPolicyError
+from repro.errors import NVMError, RetentionPolicyError
+from repro.nvm import retention as retention_mod
 from repro.nvm.retention import (
     LinearRetention,
     LogRetention,
@@ -13,6 +14,7 @@ from repro.nvm.retention import (
     RetentionPolicy,
     STANDARD_POLICY_NAMES,
     UniformRetention,
+    WRITE_ENERGY_MEMO_SIZE,
     policy_by_name,
 )
 from repro.nvm.sttram import RETENTION_ONE_DAY_S, STTRAMModel
@@ -160,3 +162,101 @@ class TestPolicyProperties:
             for b in range(1, 9)
         )
         assert policy.word_write_energy_pj(cell) == pytest.approx(total)
+
+
+#: Default and non-default cells; every one can write a 1-day bit.
+_CELLS = (
+    STTRAMModel(),
+    STTRAMModel(stability_exponent=1.4, max_current_ua=300.0),
+    STTRAMModel(i_ref_ua=120.0, t_char_ns=2.0, write_voltage_v=1.0),
+)
+
+
+def _fresh_ratio(policy, cell):
+    """``policy``'s ratio computed with the memo cleared."""
+    retention_mod._WRITE_ENERGY_MEMO.clear()
+    return policy.relative_write_energy(cell)
+
+
+def _policy_grid():
+    """Fresh instances of every policy across widths and time scales."""
+    for word_bits in (4, 8, 12):
+        for scale in (0.5, 1.0, 3.0):
+            for name in STANDARD_POLICY_NAMES:
+                yield policy_by_name(name, word_bits=word_bits, time_scale=scale)
+            yield UniformRetention(0.05, word_bits=word_bits, time_scale=scale)
+
+
+class TestWriteEnergyMemo:
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        retention_mod._WRITE_ENERGY_MEMO.clear()
+        yield
+        retention_mod._WRITE_ENERGY_MEMO.clear()
+
+    def test_memoised_ratio_equals_fresh_computation(self):
+        for cell in _CELLS:
+            for policy in _policy_grid():
+                policy.relative_write_energy(cell)
+        # One entry per (policy, width, scale, cell): 4 x 3 x 3 x 3.
+        assert len(retention_mod._WRITE_ENERGY_MEMO) == 4 * 3 * 3 * len(_CELLS)
+        # Served from the memo to other, equal instances ...
+        memoised = [
+            policy.relative_write_energy(cell)
+            for cell in _CELLS
+            for policy in _policy_grid()
+        ]
+        # ... and bit-for-bit what a cleared memo computes.
+        fresh = [
+            _fresh_ratio(policy, cell)
+            for cell in _CELLS
+            for policy in _policy_grid()
+        ]
+        assert memoised == fresh
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ((LinearRetention(time_scale=1.0), _CELLS[0]),
+             (LinearRetention(time_scale=2.0), _CELLS[0])),
+            ((UniformRetention(0.01), _CELLS[0]),
+             (UniformRetention(0.02), _CELLS[0])),
+            ((LogRetention(), _CELLS[0]), (LogRetention(), _CELLS[2])),
+            ((LinearRetention(), _CELLS[0]), (ParabolaRetention(), _CELLS[0])),
+        ],
+        ids=["time_scale", "retention_s", "cell", "policy"],
+    )
+    def test_distinct_values_never_share_an_entry(self, a, b):
+        ratio_a = a[0].relative_write_energy(a[1])
+        ratio_b = b[0].relative_write_energy(b[1])
+        assert len(retention_mod._WRITE_ENERGY_MEMO) == 2
+        assert ratio_a != ratio_b
+        assert ratio_a == _fresh_ratio(*a)
+        assert ratio_b == _fresh_ratio(*b)
+
+    def test_mutated_policy_is_priced_afresh(self):
+        cell = STTRAMModel()
+        policy = LinearRetention()
+        before = policy.relative_write_energy(cell)
+        policy.time_scale = 4.0
+        after = policy.relative_write_energy(cell)
+        assert after > before
+        assert after == _fresh_ratio(LinearRetention(time_scale=4.0), cell)
+
+    def test_infeasible_retention_raises_every_call(self):
+        # A 1-day write needs i_ref_ua of current, above max_current_ua.
+        cell = STTRAMModel(i_ref_ua=300.0)
+        for _ in range(3):
+            with pytest.raises(NVMError):
+                LinearRetention().relative_write_energy(cell)
+        assert not retention_mod._WRITE_ENERGY_MEMO
+
+    def test_memo_stays_within_its_bound(self):
+        cell = STTRAMModel()
+        first = LinearRetention(time_scale=1.0).relative_write_energy(cell)
+        for i in range(1, WRITE_ENERGY_MEMO_SIZE + 40):
+            LinearRetention(time_scale=1.0 + i / 64).relative_write_energy(cell)
+            assert len(retention_mod._WRITE_ENERGY_MEMO) <= WRITE_ENERGY_MEMO_SIZE
+        assert len(retention_mod._WRITE_ENERGY_MEMO) == WRITE_ENERGY_MEMO_SIZE
+        # The evicted first entry is recomputed, identically.
+        assert LinearRetention(time_scale=1.0).relative_write_energy(cell) == first
