@@ -121,7 +121,9 @@ class FleetDeviceTask:
 
     def cache_key(self) -> str:
         """Prefixed content hash of the device config and code version."""
-        payload = dataclasses.asdict(self)
+        # Every field is a scalar, so this is the dict dataclasses.asdict
+        # builds, without its recursive deep copy.
+        payload = {f.name: getattr(self, f.name) for f in _TASK_FIELDS}
         payload["__engine__"] = ENGINE_CACHE_VERSION
         payload["__task__"] = "fleet"
         digest = hashlib.sha256(
@@ -168,6 +170,9 @@ class FleetDeviceTask:
             tracer=tracer,
             **kwargs,
         )
+
+
+_TASK_FIELDS = dataclasses.fields(FleetDeviceTask)
 
 
 @dataclass(frozen=True)

@@ -367,25 +367,51 @@ class _FixedLaneSetup:
     income_energy_uj: float
 
 
-def _fixed_lane_constants(spec: FixedLaneSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """The trace-independent half of the lane setup: ``(dp, backup_cost)``.
+#: ``(backup_uj, restore_uj, run_power_uw, instructions_per_tick,
+#: backup_cost)`` for one (bits, simd_width, policy, mix).
+_ProcessorTerms = Tuple[float, float, float, float, np.ndarray]
 
-    Everything here depends only on (bits, simd_width, policy, mix,
-    config) — never on the trace — so :func:`run_fixed_batch` memoises
-    it across the lanes of a run (fleet grids repeat a handful of
-    device archetypes across thousands of distinct traces).
+
+def _processor_terms(spec: FixedLaneSpec) -> _ProcessorTerms:
+    """The processor half of the lane setup, independent of the config.
+
+    Everything here depends only on (bits, simd_width, policy, mix), so
+    :func:`run_fixed_batch` memoises it across the lanes of a run: a
+    fleet repeats a handful of device archetypes across thousands of
+    distinct capacitors. ``run_power_uw`` is already weighted by the
+    mix, as the thresholds and the kernel use it.
     """
-    cfg = spec.resolved_config()
     proc = NonvolatileProcessor(policy=spec.policy, mix=spec.mix)
     bits = check_int_in_range(spec.bits, "bits", 1, proc.energy_model.word_bits)
     simd_width = check_int_in_range(spec.simd_width, "simd_width", 1, 4)
     lanes = [bits] * simd_width
+    backup_cost = np.zeros(bits + 1, dtype=np.float64)
+    for b0 in range(1, bits + 1):
+        backup_cost[b0] = proc.backup_energy_uj([b0] + lanes[1:])
+    return (
+        proc.backup_energy_uj(lanes),
+        proc.restore_energy_uj(lanes),
+        proc.run_power_uw(lanes) * proc.mix.mean_energy_weight,
+        CYCLES_PER_TICK / proc.mix.mean_cycles,
+        backup_cost,
+    )
 
-    mix_weight = proc.mix.mean_energy_weight
+
+def _fixed_lane_constants(
+    spec: FixedLaneSpec, terms: _ProcessorTerms
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The trace-independent half of the lane setup: ``(dp, backup_cost)``.
+
+    ``terms`` are the lane's :func:`_processor_terms`; the thresholds,
+    the start level and its capacity check and ``dp`` come from the
+    lane's own config every time.
+    """
+    backup_uj, restore_uj, run_power, instructions_per_tick, backup_cost = terms
+    cfg = spec.resolved_config()
     thresholds = derive_thresholds(
-        backup_energy_uj=proc.backup_energy_uj(lanes),
-        restore_energy_uj=proc.restore_energy_uj(lanes),
-        run_power_uw=proc.run_power_uw(lanes) * mix_weight,
+        backup_energy_uj=backup_uj,
+        restore_energy_uj=restore_uj,
+        run_power_uw=run_power,
         min_run_ticks=cfg.min_run_ticks,
         backup_margin=cfg.backup_margin,
     )
@@ -401,11 +427,6 @@ def _fixed_lane_constants(spec: FixedLaneSpec) -> Tuple[np.ndarray, np.ndarray]:
         )
 
     dt = TICK_S
-    run_power = proc.run_power_uw(lanes) * mix_weight
-    backup_cost = np.zeros(bits + 1, dtype=np.float64)
-    for b0 in range(1, bits + 1):
-        backup_cost[b0] = proc.backup_energy_uj([b0] + lanes[1:])
-
     dp = np.array(
         [
             dt,
@@ -414,10 +435,10 @@ def _fixed_lane_constants(spec: FixedLaneSpec) -> Tuple[np.ndarray, np.ndarray]:
             float(cfg.capacitor_leak_floor_uw) * dt,
             float(cfg.off_leakage_uw) * dt,
             run_power * dt,
-            proc.backup_energy_uj(lanes) * (1.0 + cfg.backup_margin),
-            proc.restore_energy_uj(lanes),
+            backup_uj * (1.0 + cfg.backup_margin),
+            restore_uj,
             start_level,
-            CYCLES_PER_TICK / proc.mix.mean_cycles,
+            instructions_per_tick,
             run_power * 1.0e-4,
         ],
         dtype=np.float64,
@@ -426,37 +447,24 @@ def _fixed_lane_constants(spec: FixedLaneSpec) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _fixed_lane_setup(
-    spec: FixedLaneSpec,
-    slot: int,
-    plan: BatchTracePlan,
-    memo: Optional[Dict] = None,
+    spec: FixedLaneSpec, slot: int, plan: BatchTracePlan, memo: Dict
 ) -> _FixedLaneSetup:
     """Per-lane setup mirroring ``fast_fixed_run``'s setup phase.
 
     Raises the same :class:`SimulationError` the fast path would for an
     unstartable configuration; the caller converts that into a refusal
     so the per-task tier re-raises it through the normal machinery.
-    ``memo`` caches the trace-independent constants within one call of
-    :func:`run_fixed_batch`; policy/mix are keyed by identity, with the
-    references pinned in the memo value so the ids stay valid for the
-    memo's lifetime.
+    ``memo`` caches the processor terms within one call of
+    :func:`run_fixed_batch`, keyed on (bits, simd_width, policy, mix);
+    policy/mix are keyed by identity, with the references pinned in the
+    memo value so no other object can take their ids while the memo
+    lives.
     """
-    if memo is None:
-        dp, backup_cost = _fixed_lane_constants(spec)
-    else:
-        key = (
-            spec.bits,
-            spec.simd_width,
-            id(spec.policy),
-            id(spec.mix),
-            spec.config,
-        )
-        hit = memo.get(key)
-        if hit is not None and hit[0] is spec.policy and hit[1] is spec.mix:
-            dp, backup_cost = hit[2], hit[3]
-        else:
-            dp, backup_cost = _fixed_lane_constants(spec)
-            memo[key] = (spec.policy, spec.mix, dp, backup_cost)
+    key = (spec.bits, spec.simd_width, id(spec.policy), id(spec.mix))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (spec.policy, spec.mix, _processor_terms(spec))
+    dp, backup_cost = _fixed_lane_constants(spec, hit[2])
 
     n = int(plan.lengths[slot])
     ip = np.array(
@@ -503,7 +511,7 @@ def run_fixed_batch(
         slot = int(plan.slot_of[lane])
         n = int(plan.lengths[slot])
         try:
-            setup = _fixed_lane_setup(spec, slot, plan, memo=setup_memo)
+            setup = _fixed_lane_setup(spec, slot, plan, setup_memo)
         except SimulationError as exc:
             outcomes.append(
                 LaneOutcome(

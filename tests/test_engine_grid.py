@@ -55,6 +55,26 @@ def test_cache_key_is_stable_and_distinguishing():
     assert len(keys) == len(variants) + 1
 
 
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("duration_s", [0.3, 0.7, 1.0, 2.3, 10.0])
+def test_trace_ticks_matches_built_trace(duration_s, seed):
+    # The chunk planner sizes plans from trace_ticks(); standard profiles
+    # round duration / TICK_S, so 0.3 s is 3000 ticks, not 2999.
+    tasks = (
+        engine.FixedBitTask(profile_id=2, bits=8, duration_s=duration_s, seed=seed),
+        engine.ExecutiveTask(
+            kernel="median",
+            policy="linear",
+            profile_id=2,
+            minbits=4,
+            duration_s=duration_s,
+            trace_seed=seed,
+        ),
+    )
+    for task in tasks:
+        assert task.trace_ticks() == len(task.build_trace())
+
+
 def test_grid_spec_enumeration_order():
     tasks = SMALL_SPEC.tasks()
     assert [(t.profile_id, t.bits) for t in tasks] == [
