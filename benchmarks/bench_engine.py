@@ -5,10 +5,13 @@ bitwidths, median kernel) three ways:
 
 1. ``serial_reference`` — the per-tick :class:`NVPSystemSimulator`
    loop, one task at a time (the pre-engine baseline);
-2. ``vectorized`` — the bit-exact fast path of
-   :mod:`repro.system.fastsim`, still one process;
-3. ``parallel`` — the fast path fanned out over
-   ``run_grid(workers=N)``.
+2. ``vectorized`` — ``run_grid(workers=1)``: the whole grid replayed
+   by the batched C kernel of :mod:`repro.system.batchsim` in one
+   process (on a host without a C compiler, the reference loop again);
+3. ``parallel`` — the same grid through ``run_grid(workers=N)``.
+
+The JSON keys keep their names so ``BENCH_engine.json`` stays
+comparable with older snapshots.
 
 Every configuration's fast-path result is checked field-for-field
 against the reference before the numbers are reported, so the snapshot

@@ -7,11 +7,16 @@ sweep three ways:
 
 1. ``serial_reference`` — the per-tick :class:`IncidentalExecutive`
    loop, one task at a time (the pre-engine baseline);
-2. ``vectorized`` — the bit-exact fast replay of
-   :mod:`repro.core.fastexec`, still one process;
-3. ``parallel`` — the fast path fanned out over
+2. ``vectorized`` — ``run_executive_grid(workers=1)``: the whole
+   grid replayed by the batched C kernel of :mod:`repro.core.batchexec`
+   in one process (on a host without a C compiler, the reference loop
+   again);
+3. ``parallel`` — the same grid through
    ``run_executive_grid(workers=N)`` with a cold on-disk cache, then
    re-run warm (``warm_cache_s``).
+
+The JSON keys keep their names so ``BENCH_incidental.json`` stays
+comparable with older snapshots.
 
 Every configuration's fast-path result is checked field-for-field
 against the reference before the numbers are reported, so the snapshot

@@ -20,14 +20,14 @@ ORDER = [
     "fig27", "table2", "table2-jpeg-frames", "fig28", "fig28-robustness",
     "sec7", "ablation-mechanisms", "ablation-buffer",
     "ablation-retention-scale", "ablation-recover-placement",
-    "ablation-sources", "resilience", "obs-summary", "fleet", "runtable",
+    "ablation-sources", "resilience", "fleet", "runtable",
 ]
 
 #: Perf snapshots (repo root JSON), appended after the artifact tables.
 BENCH_ORDER = [
     "BENCH_engine.json", "BENCH_incidental.json", "BENCH_batch.json",
-    "BENCH_faults.json", "BENCH_resilience.json", "BENCH_obs.json",
-    "BENCH_fleet.json", "BENCH_runtable.json",
+    "BENCH_faults.json", "BENCH_resilience.json", "BENCH_fleet.json",
+    "BENCH_runtable.json",
 ]
 
 

@@ -1,9 +1,9 @@
-"""Native accelerator for batched grid replay (optional, self-building).
+"""Native accelerator for batched replay (optional, self-building).
 
-The batch execution tier (:mod:`repro.system.batchsim`,
-:mod:`repro.core.batchexec`) replays whole experiment grids through two
-C kernels that are bit-exact ports of the Python fast paths. This
-module owns their lifecycle:
+:mod:`repro.system.batchsim` and :mod:`repro.core.batchexec` replay
+whole experiment grids, and single tasks as one-lane grids, through two
+C kernels that are bit-exact ports of the per-tick reference loops.
+This module owns their lifecycle:
 
 * the C source lives in :mod:`repro._accel._csource` as a string;
 * on first use it is compiled with the system C compiler into a shared
@@ -19,8 +19,8 @@ contract the conformance suites enforce.
 
 Everything degrades gracefully: no compiler, a failed compile, or
 ``REPRO_NO_ACCEL=1`` in the environment simply makes
-:func:`available` return ``False`` and the engine stays on its
-per-task tiers. The cache directory defaults to a per-user path under
+:func:`available` return ``False`` and every run takes the reference
+loop. The cache directory defaults to a per-user path under
 the system temp dir and can be redirected with ``REPRO_ACCEL_CACHE``.
 """
 

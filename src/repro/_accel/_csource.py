@@ -1,17 +1,21 @@
 """C source for the batched replay kernels.
 
-The two functions here are line-for-line ports of the scalar replay
-loops of :mod:`repro.system.fastsim` (``fast_fixed_run``) and
-:mod:`repro.core.fastexec` (``fast_executive_run``). They are compiled
-with ``-ffp-contract=off`` and without ``-ffast-math``, so every
+The two functions here port the per-tick reference loops —
+:meth:`repro.system.simulator.NVPSystemSimulator.run` under a
+fixed-bit allocator, and the same loop driving an
+:class:`~repro.core.executive.IncidentalExecutive` — to C, with the
+per-tick constants hoisted and provably idle outage spans skipped.
+They are the only fast path of either model: a grid replays them over
+many lanes, a single task over one. They are compiled with
+``-ffp-contract=off`` and without ``-ffast-math``, so every
 floating-point operation happens in the same order, width and rounding
 mode as the Python interpreter performs it (both are IEEE-754 binary64
 on every platform we target). The conformance suites
-(``tests/test_batch_equivalence.py``) arbitrate: any divergence from
-the Python fast paths or the reference simulators is a bug here.
+(``tests/test_batch_equivalence.py``, ``tests/test_engine_equivalence.py``,
+``tests/test_executive_equivalence.py``) arbitrate: any divergence from
+the reference simulators is a bug here.
 
-Port rules (the same discipline the fast paths follow against the
-reference loop):
+Port rules:
 
 * ``a * b * c`` stays ``(a * b) * c`` — C's left-associativity matches
   Python's, and ``-ffp-contract=off`` forbids FMA contraction.
@@ -23,9 +27,9 @@ reference loop):
 * ``int / int`` true division is ``(double)a / (double)b``.
 
 Error handling: the kernels never raise — they return a nonzero status
-and the caller re-runs that lane through the Python fast path, which
-raises the identical :class:`~repro.errors.SimulationError` the
-reference would.
+and the caller re-runs that lane through the reference loop, which
+raises the :class:`~repro.errors.SimulationError` the configuration
+deserves.
 """
 
 C_SOURCE = r"""
@@ -46,7 +50,7 @@ static int64_t lower_bound(const int64_t *a, int64_t len, int64_t v)
 /* Status codes shared by both kernels. Codes 2-4 map onto the three
  * SimulationError cases of the replay loops; >= 5 are capacity
  * overflows of the caller-provided output buffers (never expected for
- * real traces -- the caller falls back to the Python path). */
+ * real traces -- the caller falls back to the reference loop). */
 #define ST_OK               0
 #define ST_RESTORE_SHORT    2
 #define ST_BACKUP_SHORT     3
@@ -57,7 +61,7 @@ static int64_t lower_bound(const int64_t *a, int64_t len, int64_t v)
 #define ST_LANEDONE_OVERFLOW 8
 
 /* ---------------------------------------------------------------------------
- * Fixed-bit replay (port of fastsim.fast_fixed_run's scalar loop).
+ * Fixed-bit replay (port of the reference loop under FixedBitAllocator).
  *
  * dp: 0=dt 1=capacity 2=leak_frac 3=floor_e 4=off_e 5=run_e 6=reserve
  *     7=restore_cost 8=start_level 9=instr_per_tick 10=run_energy_per_tick
@@ -193,8 +197,8 @@ int64_t repro_fixed_replay(
 }
 
 /* ---------------------------------------------------------------------------
- * Incidental-executive replay (port of fastexec.fast_executive_run and
- * the IncidentalExecutive bookkeeping it calls back into).
+ * Incidental-executive replay (port of the reference loop driving an
+ * IncidentalExecutive, including the executive's frame bookkeeping).
  *
  * Lane-cost tables are indexed by the lane tuple: widths 1-4, bits 1-8
  * per lane, laid out width-major (offsets 0, 8, 72, 584; 4680 entries).

@@ -29,9 +29,12 @@ place that executes those sweeps:
   **defensive copies**, so a caller mutating ``result.bit_schedule``
   can never poison a later run.
 
-Simulations go through the bit-exact fast path of
-:mod:`repro.system.fastsim` by default (``engine="auto"``); pass
-``engine="reference"`` to force the per-tick loop, e.g. for the
+Simulations go through the bit-exact C replay kernels by default
+(``engine="auto"``): a grid as one batch plan, a single task as a
+one-lane plan (:mod:`repro.system.batchsim`,
+:mod:`repro.core.batchexec`). Traced, fault-injected and refused runs,
+and every run on a host without a C compiler, take the per-tick
+reference loop; pass ``engine="reference"`` to force it, e.g. for the
 differential benchmark.
 
 Per-task execution goes through one robust core (:func:`_run_robust`):
@@ -2524,7 +2527,12 @@ class ExecutiveTask(_ExecutiveConfigMixin):
         )
 
     def run(self, engine: str = "auto", tracer=None) -> ExecutiveResult:
-        """Execute the simulation (no caching at this level)."""
+        """Execute the simulation (no caching at this level).
+
+        Untraced ``"auto"``/``"fast"`` runs replay as a one-lane C plan;
+        an enabled ``tracer`` or a lane the kernel refuses takes the
+        reference loop (see :meth:`IncidentalExecutive.run`).
+        """
         return self.build_executive(tracer=tracer).run(engine=engine)
 
 

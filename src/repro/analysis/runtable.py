@@ -18,8 +18,8 @@ and the bit-exact result payloads (the same payloads the
 content-addressed cache stores and the campaign service streams), so a
 table built offline from a cached grid, by ``repro-experiments
 runtable``, or by ``GET /jobs/<id>/runtable.csv`` is byte-identical
-for the same campaign — across the batch, vectorized and serial engine
-tiers, and across HTTP vs direct runs. Provenance cells describe *one
+for the same campaign — across the batch, one-lane C and reference
+engine paths, and across HTTP vs direct runs. Provenance cells describe *one
 particular execution* and are therefore run-dependent: in the
 canonical table they hold documented sentinels (empty string / empty)
 and are only filled when a :class:`~repro.analysis.telemetry.RunReport`

@@ -1,15 +1,16 @@
 """Trace-parallel batched replay of incidental-executive simulations.
 
-The executive analog of :mod:`repro.system.batchsim`: a grid of
+The executive analog of :mod:`repro.system.batchsim`, and the one fast
+path of the executive model: a grid of
 :class:`~repro.core.executive.IncidentalExecutive` runs shares one
 ragged :class:`~repro.system.batchsim.BatchTracePlan` (one exact-length
 array set per trace slot) and each lane replays through a compiled
-kernel (:mod:`repro._accel`) that ports the
-:func:`~repro.core.fastexec.fast_executive_run` loop *and* the
-executive's frame bookkeeping (arrivals, current-frame selection, the
-resume-point buffer, incidental lane adoption, exposures) into C.
+kernel (:mod:`repro._accel`) that ports the reference run loop *and*
+the executive's frame bookkeeping (arrivals, current-frame selection,
+the resume-point buffer, incidental lane adoption, exposures) into C.
+A single :meth:`IncidentalExecutive.run` is a batch of one lane.
 
-Lane-cost memoisation becomes a table: every lane tuple (widths 1-4,
+Lane costs come from a table: every lane tuple (widths 1-4,
 bits 1-8 per lane; 4680 entries, width-major layout) gets its raw
 ``run_power_uw`` and pipeline state fraction precomputed once per
 process, and per-task scalars (mix weight, blended retention scale,
@@ -18,12 +19,12 @@ reference's operation order, so every rounding is preserved.
 
 The contract is the same as everywhere in this repo: **bit-exact** or
 **refused**. A refused lane (device resilience, priced guard bits, a
-non-default energy model, more frame arrivals than
+non-default energy model, an enabled tracer, more frame arrivals than
 :data:`MAX_BATCH_FRAMES`, a setup error, or any nonzero kernel status)
-is handed back for the per-task path to run — never silently
-approximated. ``tests/test_batch_equivalence.py`` arbitrates against
-both :mod:`repro.core.fastexec` and the reference
-:meth:`IncidentalExecutive.run` loop.
+is handed back for the reference loop to run — never silently
+approximated. ``tests/test_batch_equivalence.py`` and
+``tests/test_executive_equivalence.py`` arbitrate against the
+reference loop.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ __all__ = [
 ]
 
 #: Hard bound on frame arrivals the batch kernel will track per lane;
-#: a lane whose trace/period implies more is refused to the per-task
-#: tier (keeps the C-side bookkeeping arrays small and bounded).
+#: a lane whose trace/period implies more is refused to the reference
+#: loop (keeps the C-side bookkeeping arrays small and bounded).
 MAX_BATCH_FRAMES = 1024
 
 #: Width-major offsets of the lane-tuple table (widths 1-4, bits 1-8).
@@ -101,10 +102,10 @@ def _tuple_tables() -> tuple:
 def executive_refusal(executive) -> Optional[str]:
     """Why the batch kernel cannot replay this executive (or ``None``).
 
-    Mirrors the fast path's own guard (device resilience) and adds the
-    batch tier's table preconditions. Refusal means "run per task",
-    not "error": the per-task tiers handle every refused lane with the
-    reference semantics.
+    Device resilience and tracing live only on the reference loop;
+    the rest are the kernel's table preconditions. Refusal means "run
+    the reference loop", not "error": it handles every refused lane
+    with the reference semantics.
     """
     proc = executive.processor
     if proc.resilience is not None:
@@ -131,9 +132,10 @@ def run_executive_batch(
     """Replay freshly constructed executives through the batch kernel.
 
     Returns one :class:`LaneOutcome` per executive, in order; refused
-    lanes carry a reason and no result. Like the fast path, a replayed
-    executive is consumed conceptually — pass fresh instances and do
-    not reuse them afterwards.
+    lanes carry a reason and no result. The kernel reads the
+    executives and writes nothing back to them, so a refused executive
+    can still run the reference loop; pass fresh instances all the
+    same.
     """
     from .executive import ExecutiveResult, FrameRecord
 

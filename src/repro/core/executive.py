@@ -45,6 +45,7 @@ from ..quality.metrics import psnr as compute_psnr
 from ..system.config import SystemConfig
 from ..system.metrics import SimulationResult
 from ..system.simulator import NVPSystemSimulator
+from .batchexec import executive_refusal, run_executive_batch
 from .controller import ApproximationControlUnit, IncidentalAllocator
 from .program import AnnotatedProgram, FRAME_LOOP_PC
 from .resume_buffer import ResumePoint, ResumePointBuffer
@@ -484,24 +485,25 @@ class IncidentalExecutive(IncidentalAllocator):
 
         ``engine`` selects the implementation: ``"reference"`` (the
         default) drives the per-tick :class:`NVPSystemSimulator` loop;
-        ``"auto"``/``"fast"`` use the bit-exact replay of
-        :mod:`repro.core.fastexec` (results are identical by contract,
-        enforced by ``tests/test_executive_equivalence.py``). Either
-        way the executive is consumed: construct a fresh one per run.
-
-        With a device-resilience config attached the fast replay does
-        not model the fault/validation semantics, so ``"auto"`` and
-        ``"fast"`` route to the reference loop (bit-identical for a
-        rate-0 unpriced config, by the differential suite).
+        ``"auto"``/``"fast"`` replay the run as a one-lane plan through
+        the compiled kernel of :mod:`repro.core.batchexec` (results are
+        identical by contract, enforced by
+        ``tests/test_executive_equivalence.py``). The kernel only reads
+        the executive, so any lane it refuses (see
+        :func:`~repro.core.batchexec.executive_refusal`: device
+        resilience, an enabled tracer, a frame bound; or no compiler, a
+        setup error, a kernel status) runs through the reference loop
+        on the same, untouched executive. Construct a fresh executive
+        per run all the same: the reference loop consumes it.
         """
         if engine not in ("auto", "fast", "reference"):
             raise SimulationError(
                 f"engine must be 'auto', 'fast' or 'reference', got {engine!r}"
             )
-        if engine != "reference" and self.processor.resilience is None:
-            from .fastexec import fast_executive_run
-
-            return fast_executive_run(self)
+        if engine != "reference" and executive_refusal(self) is None:
+            outcome = run_executive_batch([self])[0]
+            if outcome.result is not None:
+                return outcome.result
         sim = NVPSystemSimulator(
             self.trace, self.processor, self, config=self.config
         ).run()

@@ -14,7 +14,7 @@ Two time domains coexist in one trace:
   deterministic — the trace-determinism tests compare them byte for
   byte across repeated runs.
 * **wall-domain** events (``cat == "profile"``): per-phase wall-time
-  spans recorded by :meth:`Tracer.phase` on the fast-path hot spots.
+  spans recorded by :meth:`Tracer.phase` around host-side phases.
   These carry host timings and are excluded from determinism checks.
 
 The zero-overhead contract
@@ -25,10 +25,12 @@ guards with the tracer's boolean attributes (``enabled`` / ``spans`` /
 ``events`` / ``debug``), hoisted to locals before hot loops. The
 module-level :data:`NULL_TRACER` singleton has every flag ``False`` and
 no-op methods, so a disabled run's only cost is the guard itself — a
-local load and a conditional jump. ``benchmarks/bench_obs.py`` bounds
-that cost at < 2 % of the fastsim path, and the differential suite in
-``tests/test_obs_differential.py`` enforces that enabling the tracer
-changes no simulated result: tracing only ever *reads* device state.
+local load and a conditional jump. Only the per-tick reference loop is
+instrumented: an enabled tracer routes a run there, and an untraced
+run replays through the C kernels, which take no tracer at all. The
+differential suite in ``tests/test_obs_differential.py`` enforces that
+enabling the tracer changes no simulated result: tracing only ever
+*reads* device state.
 """
 
 from __future__ import annotations
@@ -261,7 +263,7 @@ class Tracer:
         )
 
     def phase(self, name: str) -> _Phase:
-        """Context manager timing one fast-path phase (wall domain).
+        """Context manager timing one host-side phase (wall domain).
 
         Consecutive phases stack end to end on a synthetic wall
         timeline starting at 0 µs, so the profile row reads as a

@@ -1,9 +1,12 @@
 """Trace-parallel batched replay of fixed-bit system simulations.
 
-:mod:`repro.system.fastsim` replays one (trace, config) point per call;
-an experiment grid replays N of them, paying the per-task dispatch
-(and, under the pooled tier, process spawn + pickling) N times. This
-module stacks a whole grid into one **ragged batch**:
+This is the one fast path of the fixed-bit model. An experiment grid
+replays N (trace, config) points; run one at a time, it would pay the
+per-task dispatch (and, under the pooled tier, process spawn +
+pickling) N times. This module stacks a whole grid into one **ragged
+batch**, and a single task
+(:func:`~repro.system.simulator.simulate_fixed_bits`) is a batch of one
+lane:
 
 * every distinct (trace, front-end config) pair becomes one *slot* —
   its converted/bypass income series, the sticky-zero outage mask and
@@ -17,17 +20,18 @@ module stacks a whole grid into one **ragged batch**:
   slot's arrays.
 
 The batch path is required to be **bit-exact**: every lane's
-:class:`SimulationResult` is identical field for field to what
-:func:`~repro.system.fastsim.fast_fixed_run` — and therefore the
-reference :class:`~repro.system.simulator.NVPSystemSimulator` — would
-produce. ``tests/test_batch_equivalence.py`` enforces that contract
+:class:`SimulationResult` is identical field for field to what the
+reference :class:`~repro.system.simulator.NVPSystemSimulator` would
+produce. ``tests/test_batch_equivalence.py`` and
+``tests/test_engine_equivalence.py`` enforce that contract
 differentially; ``tests/test_batch_properties.py`` pins the ragged
-representation itself against the per-task precomputation.
+representation itself against a per-task restatement of the
+precomputation.
 
 Lanes the batch path cannot honor byte-for-byte are *refused*, never
 approximated: setup errors (e.g. a start level above the capacitor
 capacity) and kernel status codes hand the lane back to the caller,
-who re-runs it through the per-task path where the identical
+who re-runs it through the reference loop where the identical
 :class:`~repro.errors.SimulationError` surfaces naturally.
 """
 
@@ -118,10 +122,10 @@ def build_trace_plan(
 ) -> BatchTracePlan:
     """Build the ragged batch plan for ``entries`` (one lane each).
 
-    Precomputes, per distinct (trace, config) slot, exactly what
-    ``fast_fixed_run`` precomputes per task — front-end conversion,
-    bypass series, the sticky-zero predicate and the sorted skip
-    schedules — using the identical IEEE-754 operations.
+    Precomputes, per distinct (trace, config) slot, the front-end
+    conversion, the bypass series, the sticky-zero predicate and the
+    sorted skip schedules, with the IEEE-754 operations the reference
+    loop applies tick by tick.
     """
     slots: Dict[Tuple[int, SystemConfig], int] = {}
     conv: List[np.ndarray] = []
@@ -331,7 +335,7 @@ def chunk_lane_indices(
 
 @dataclass(frozen=True)
 class FixedLaneSpec:
-    """One fixed-bit grid point, mirroring ``fast_fixed_run``'s inputs."""
+    """One fixed-bit grid point, mirroring ``simulate_fixed_bits``'s inputs."""
 
     trace: PowerTrace
     bits: int
@@ -349,7 +353,7 @@ class LaneOutcome:
     """Result of one batch lane: a result, or a refusal reason.
 
     ``refused`` lanes carry no result; the caller re-runs them through
-    the per-task path (where errors raise with the reference message).
+    the reference loop (where errors raise with the reference message).
     """
 
     result: Optional[SimulationResult] = None
@@ -359,7 +363,7 @@ class LaneOutcome:
 
 @dataclass
 class _FixedLaneSetup:
-    """Hoisted per-lane constants (the fastsim setup block, verbatim)."""
+    """Hoisted per-lane constants, evaluated as the reference does."""
 
     dp: np.ndarray
     ip: np.ndarray
@@ -449,11 +453,11 @@ def _fixed_lane_constants(
 def _fixed_lane_setup(
     spec: FixedLaneSpec, slot: int, plan: BatchTracePlan, memo: Dict
 ) -> _FixedLaneSetup:
-    """Per-lane setup mirroring ``fast_fixed_run``'s setup phase.
+    """Per-lane setup mirroring the reference loop's set-up.
 
-    Raises the same :class:`SimulationError` the fast path would for an
+    Raises the same :class:`SimulationError` the reference would for an
     unstartable configuration; the caller converts that into a refusal
-    so the per-task tier re-raises it through the normal machinery.
+    so the reference loop re-raises it through the normal machinery.
     ``memo`` caches the processor terms within one call of
     :func:`run_fixed_batch`, keyed on (bits, simd_width, policy, mix);
     policy/mix are keyed by identity, with the references pinned in the

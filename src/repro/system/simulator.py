@@ -36,7 +36,9 @@ from ..nvm.retention import RetentionPolicy
 from ..nvp.isa import DEFAULT_MIX, InstructionMix
 from ..nvp.processor import NonvolatileProcessor
 from ..obs.metrics import BITWIDTH_BUCKETS, OUTAGE_TICKS_BUCKETS
+from ..obs.tracer import resolve_tracer
 from ..resilience import ResilienceConfig, RestoreOutcome
+from .batchsim import FixedLaneSpec, run_fixed_batch
 from .config import SystemConfig
 from .metrics import SimulationResult
 from .states import SystemState
@@ -114,12 +116,9 @@ class FixedBitAllocator(BitAllocator):
 
 
 def _fold_run_metrics(tracer, bit_schedule, lane_schedule, on_ticks, n) -> None:
-    """Fold end-of-run schedule distributions into the tracer's metrics.
-
-    Shared by the reference loop and the fast path so both engines
-    produce identical per-run metrics (histograms are derived from the
-    bit-exact schedules, not from loop-side counters).
-    """
+    """Fold end-of-run schedule distributions into the tracer's metrics
+    (histograms are derived from the recorded schedules, not from
+    loop-side counters)."""
     metrics = tracer.metrics
     run_mask = bit_schedule > 0
     bits = np.bincount(bit_schedule[run_mask], minlength=9)
@@ -377,39 +376,38 @@ def simulate_fixed_bits(
     from 8 down to 1 (and ``policy`` across retention shapes) and
     compare forward progress and backup counts.
 
-    ``engine`` selects the implementation: ``"auto"``/``"fast"`` use
-    the bit-exact vectorized fast path of :mod:`repro.system.fastsim`
-    (the default — results are identical by contract, enforced by the
-    differential suite); ``"reference"`` forces the per-tick loop of
+    ``engine`` selects the implementation: ``"auto"``/``"fast"`` replay
+    the run as a one-lane plan through the compiled kernel of
+    :mod:`repro.system.batchsim` (the default — results are identical
+    by contract, enforced by ``tests/test_engine_equivalence.py``);
+    ``"reference"`` forces the per-tick loop of
     :class:`NVPSystemSimulator`.
 
-    ``resilience`` attaches a device fault model + hardened restore
-    path. The fast path does not replicate fault semantics, so any
-    resilience config routes to the reference loop (for a rate-0,
-    unpriced config the result is still bit-identical to the fast path
-    — the restore validation trivially passes — which the differential
-    suite in ``tests/test_resilience_faults.py`` enforces).
-
-    ``tracer`` threads an observability :class:`~repro.obs.Tracer`
-    through whichever engine runs; by contract (enforced by
-    ``tests/test_obs_differential.py``) it never changes the result.
+    The kernel models neither device faults nor tracing, so a
+    ``resilience`` config (a device fault model + hardened restore
+    path) or an enabled ``tracer`` takes the reference loop, and so
+    does any lane the kernel refuses: no compiler on the host, a
+    configuration that can never start, a nonzero kernel status. The
+    reference then raises whatever error the configuration deserves.
+    Tracing only reads device state, so a traced run returns the
+    untraced result (``tests/test_obs_differential.py``).
     """
     if engine not in ("auto", "fast", "reference"):
         raise SimulationError(
             f"engine must be 'auto', 'fast' or 'reference', got {engine!r}"
         )
-    if engine != "reference" and resilience is None:
-        from .fastsim import fast_fixed_run
-
-        return fast_fixed_run(
-            trace,
-            bits,
-            simd_width=simd_width,
-            policy=policy,
-            mix=mix,
+    if (
+        engine != "reference"
+        and resilience is None
+        and not resolve_tracer(tracer).enabled
+    ):
+        spec = FixedLaneSpec(
+            trace, bits, simd_width=simd_width, policy=policy, mix=mix,
             config=config,
-            tracer=tracer,
         )
+        outcome = run_fixed_batch([spec])[0]
+        if outcome.result is not None:
+            return outcome.result
     processor = NonvolatileProcessor(
         policy=policy, mix=mix, resilience=resilience, tracer=tracer
     )

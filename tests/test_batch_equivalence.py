@@ -4,11 +4,13 @@ The batch tier (:mod:`repro.system.batchsim`,
 :mod:`repro.core.batchexec`) replays whole grids through compiled C
 kernels. Its only contract is exactness: every lane it accepts must be
 field-for-field identical — floats, int16 schedules, backup-tick
-tuples, frame records, exposures — to the per-task vectorized fast
-paths AND to the per-tick reference simulators. This suite arbitrates
-that contract over randomized grids (mixed lane lengths, mixed
-configs), the degenerate shapes (one lane, all lanes identical), and
-lane-permutation invariance.
+tuples, frame records, exposures — to the per-tick reference
+simulators. This suite arbitrates that contract over randomized grids
+(mixed lane lengths, mixed configs), the degenerate shapes (one lane,
+all lanes identical), and lane-permutation invariance. Every lane of
+every grid is checked against the reference loop. (The tests named
+``..._vs_fastsim`` / ``..._vs_fastexec`` keep the ids they had when
+the oracle was a per-task numpy replay, since deleted.)
 
 Skipped wholesale when the accelerator cannot build on this host — the
 engine then never selects the batch tier, so there is nothing to
@@ -26,13 +28,12 @@ from repro.analysis.engine import (
     simulation_results_equal,
 )
 from repro.core.batchexec import run_executive_batch
-from repro.core.fastexec import fast_executive_run
 from repro.energy.traces import PowerTrace, standard_profile
+from repro.errors import SimulationError
 from repro.kernels.registry import kernel_mix
 from repro.nvm.retention import STANDARD_POLICY_NAMES, policy_by_name
 from repro.system.batchsim import FixedLaneSpec, batch_available, run_fixed_batch
 from repro.system.config import SystemConfig
-from repro.system.fastsim import fast_fixed_run
 from repro.system.simulator import simulate_fixed_bits
 
 pytestmark = [
@@ -76,21 +77,26 @@ def _random_fixed_spec(rng: random.Random) -> FixedLaneSpec:
     )
 
 
-def _assert_fixed_lane_matches(spec: FixedLaneSpec, outcome) -> None:
-    assert outcome.refused is None, outcome.refused
-    reference = fast_fixed_run(
+def _fixed_reference(spec: FixedLaneSpec):
+    return simulate_fixed_bits(
         spec.trace,
         spec.bits,
         simd_width=spec.simd_width,
         policy=spec.policy,
         mix=spec.mix,
         config=spec.config,
+        engine="reference",
     )
-    assert simulation_results_equal(outcome.result, reference)
+
+
+def _assert_fixed_lane_matches(spec: FixedLaneSpec, outcome) -> None:
+    assert outcome.refused is None, outcome.refused
+    assert simulation_results_equal(outcome.result, _fixed_reference(spec))
 
 
 class TestFixedRandomizedGrids:
-    """Randomized fixed-bit grids, every lane checked against fastsim."""
+    """Randomized fixed-bit grids, every lane checked against the
+    per-tick reference loop."""
 
     @pytest.mark.parametrize("seed", range(36))
     def test_grid_bit_exact_vs_fastsim(self, seed):
@@ -106,18 +112,7 @@ class TestFixedRandomizedGrids:
         """One lane per grid against the per-tick reference loop."""
         rng = random.Random(2000 + seed)
         spec = _random_fixed_spec(rng)
-        outcome = run_fixed_batch([spec])[0]
-        assert outcome.refused is None, outcome.refused
-        reference = simulate_fixed_bits(
-            spec.trace,
-            spec.bits,
-            simd_width=spec.simd_width,
-            policy=spec.policy,
-            mix=spec.mix,
-            config=spec.config,
-            engine="reference",
-        )
-        assert simulation_results_equal(outcome.result, reference)
+        _assert_fixed_lane_matches(spec, run_fixed_batch([spec])[0])
 
 
 class TestFixedDegenerateGrids:
@@ -165,12 +160,14 @@ class TestFixedDegenerateGrids:
         _assert_fixed_lane_matches(spec, run_fixed_batch([spec])[0])
 
     def test_impossible_start_refused_like_fastsim(self):
-        """A config fastsim rejects is refused, not silently wrong."""
+        """A config the reference rejects is refused, not silently wrong."""
         config = SystemConfig(capacitor_uj=0.2, start_fill_fraction=0.1)
         spec = FixedLaneSpec(trace=_trace(1, 0.5), bits=8, config=config)
         outcome = run_fixed_batch([spec])[0]
         assert outcome.result is None
         assert "setup raised" in outcome.refused
+        with pytest.raises(SimulationError, match="can never start"):
+            _fixed_reference(spec)
 
 
 def _random_executive_task(rng: random.Random) -> ExecutiveTask:
@@ -192,8 +189,13 @@ def _random_executive_task(rng: random.Random) -> ExecutiveTask:
     )
 
 
+def _executive_reference(task: ExecutiveTask):
+    return task.build_executive().run(engine="reference")
+
+
 class TestExecutiveRandomizedGrids:
-    """Randomized executive grids against fastexec (+ reference subset)."""
+    """Randomized executive grids, every lane checked against the
+    per-tick reference loop."""
 
     @pytest.mark.parametrize("seed", range(26))
     def test_grid_bit_exact_vs_fastexec(self, seed):
@@ -203,8 +205,9 @@ class TestExecutiveRandomizedGrids:
         assert len(outcomes) == len(tasks)
         for task, outcome in zip(tasks, outcomes):
             assert outcome.refused is None, outcome.refused
-            reference = fast_executive_run(task.build_executive())
-            assert executive_results_equal(outcome.result, reference)
+            assert executive_results_equal(
+                outcome.result, _executive_reference(task)
+            )
 
     @pytest.mark.parametrize("seed", range(5))
     def test_lane_bit_exact_vs_reference(self, seed):
@@ -212,8 +215,9 @@ class TestExecutiveRandomizedGrids:
         task = _random_executive_task(rng)
         outcome = run_executive_batch([task.build_executive()])[0]
         assert outcome.refused is None, outcome.refused
-        reference = task.build_executive().run(engine="reference")
-        assert executive_results_equal(outcome.result, reference)
+        assert executive_results_equal(
+            outcome.result, _executive_reference(task)
+        )
 
 
 class TestExecutiveDegenerateGrids:
@@ -225,7 +229,7 @@ class TestExecutiveDegenerateGrids:
         outcome = run_executive_batch([task.build_executive()])[0]
         assert outcome.refused is None
         assert executive_results_equal(
-            outcome.result, fast_executive_run(task.build_executive())
+            outcome.result, _executive_reference(task)
         )
 
     def test_all_lanes_identical(self):
@@ -236,7 +240,7 @@ class TestExecutiveDegenerateGrids:
         outcomes = run_executive_batch(
             [task.build_executive() for _ in range(4)]
         )
-        reference = fast_executive_run(task.build_executive())
+        reference = _executive_reference(task)
         for outcome in outcomes:
             assert outcome.refused is None
             assert executive_results_equal(outcome.result, reference)
@@ -267,7 +271,7 @@ class TestExecutiveDegenerateGrids:
         for task, outcome in zip(tasks, outcomes):
             assert outcome.refused is None
             assert executive_results_equal(
-                outcome.result, fast_executive_run(task.build_executive())
+                outcome.result, _executive_reference(task)
             )
 
     def test_resilience_lane_refused(self):

@@ -5,8 +5,8 @@ config) precomputation — converted income, bypass series, the
 sticky-zero outage mask, the sorted outage/income skip schedules — as
 one exact-length array per slot. These tests pin the representation
 itself: every slot array must round-trip exactly against the per-task
-formulas ``fast_fixed_run`` uses (same IEEE-754 ops) and be exactly as
-long as its data, with the dtype and layout the kernels read;
+formulas restated below (the reference loop's IEEE-754 ops) and be
+exactly as long as its data, with the dtype and layout the kernels read;
 deduplication must key on (trace identity, config); and degenerate
 income patterns — zero-outage, all-outage, back-to-back bursts — must
 produce the masks the scalar replay expects. The per-lane constants
@@ -44,7 +44,7 @@ pytestmark = pytest.mark.batch
 
 
 def _expected_precompute(trace, config):
-    """The per-task fastsim precompute, restated independently."""
+    """The per-task trace precompute, restated independently."""
     samples = trace.samples_uw
     frontend = config.build_frontend()
     converted = frontend.convert_trace(samples)

@@ -1,12 +1,16 @@
 """Differential suite: the fast path must be bit-exact vs the reference.
 
-``repro.system.fastsim`` is only allowed to exist because of this file:
-every randomized configuration below runs both the vectorized fast path
-and the per-tick reference loop and asserts the two
-:class:`SimulationResult` objects are identical **field for field** —
-every float, every count, and the whole per-tick bit/lane schedule.
-Any divergence, however small, is a bug in the fast path (or an
-un-mirrored change to the reference simulator).
+``simulate_fixed_bits(engine="fast")`` replays one task as a one-lane
+plan through the compiled kernel (:mod:`repro.system.batchsim`), and
+it is only allowed to do so because of this file: every randomized
+configuration below runs both that path and the per-tick reference
+loop and asserts the two :class:`SimulationResult` objects are
+identical **field for field** — every float, every count, and the
+whole per-tick bit/lane schedule. Any divergence, however small, is a
+bug in the kernel (or an un-mirrored change to the reference
+simulator). Lanes the kernel refuses, and every lane on a host without
+a C compiler, take the reference loop, so there the two sides agree
+trivially; the error-parity cases rely on exactly that.
 """
 
 import numpy as np

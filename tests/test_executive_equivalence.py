@@ -1,14 +1,16 @@
 """Differential suite: the fast executive must be bit-exact vs the reference.
 
-``repro.core.fastexec`` is only allowed to exist because of this file:
-every randomized configuration below runs the incidental executive both
-through the vectorized replay (``engine="fast"``) and the per-tick
-reference loop (``engine="reference"``) and asserts the two
-:class:`ExecutiveResult` objects are identical **field for field** —
-the embedded :class:`SimulationResult`, every per-frame element-bit
-schedule, every exposure tuple, and the idle-instruction total. Any
-divergence, however small, is a bug in the fast path (or an un-mirrored
-change to the reference executive).
+``IncidentalExecutive.run(engine="fast")`` replays one executive as a
+one-lane plan through the compiled kernel (:mod:`repro.core.batchexec`),
+and it is only allowed to do so because of this file: every randomized
+configuration below runs the incidental executive both through that
+path and the per-tick reference loop (``engine="reference"``) and
+asserts the two :class:`ExecutiveResult` objects are identical **field
+for field** — the embedded :class:`SimulationResult`, every per-frame
+element-bit schedule, every exposure tuple, and the idle-instruction
+total. Any divergence, however small, is a bug in the kernel (or an
+un-mirrored change to the reference executive). Refused lanes, and
+every lane on a host without a C compiler, take the reference loop.
 
 The sweep mirrors ``tests/test_engine_equivalence.py`` for the fixed-bit
 fast path; corner cases cover the ablation switches, dead/constant

@@ -211,7 +211,7 @@ def _sample_records():
              "dur": 5, "args": {}},
             {"name": "backup", "cat": "nvp", "ph": "i", "tick": 20,
              "args": {"energy_uj": 1.25}},
-            {"name": "fastsim.replay", "cat": "profile", "ph": "X",
+            {"name": "engine.replay", "cat": "profile", "ph": "X",
              "wall_us": 0.0, "dur_us": 1500.0, "args": {}},
         ],
         "task-b": [
@@ -244,7 +244,7 @@ class TestChromeExport:
     def test_profile_events_on_their_own_thread(self):
         payload = chrome_trace(_sample_records())
         replay = next(
-            e for e in payload["traceEvents"] if e["name"] == "fastsim.replay"
+            e for e in payload["traceEvents"] if e["name"] == "engine.replay"
         )
         device = next(
             e for e in payload["traceEvents"] if e["name"] == "outage"

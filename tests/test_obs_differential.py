@@ -2,11 +2,13 @@
 
 The tracer only ever *reads* simulated state, so enabling it at any
 level must leave every simulated result bit-identical to an untraced
-run — for the fixed-bit layer (both engines), the incidental executive
-(both engines) and the resilience path. Separately, the tick-domain
-event stream itself must be deterministic: two traced runs of the same
-configuration produce byte-identical device events (wall-domain
-``profile`` spans carry host timings and are excluded).
+run — for the fixed-bit layer, the incidental executive and the
+resilience path. A traced run always takes the reference loop, so with
+``engine="fast"`` this compares the reference against the untraced C
+replay. Separately, the tick-domain event stream itself must be
+deterministic: two traced runs of the same configuration produce
+byte-identical device events (wall-domain ``profile`` spans carry host
+timings and are excluded).
 """
 
 import pytest
@@ -98,16 +100,12 @@ class TestTraceDeterminism:
         assert tracer.metrics.counters.get("sim.total_ticks", 0) > 0
 
     def test_metrics_match_across_engines(self):
-        # The fold helper derives histograms from bit-exact schedules,
-        # so distribution metrics agree between the fast path and the
-        # reference loop (per-tick capacitor counters are reference-only
-        # and excluded).
+        # A traced run takes the reference loop whatever the engine, so
+        # every metric -- the capacitor counters included -- is the
+        # reference's.
         task = _fixed_task()
         fast, ref = Tracer("debug"), Tracer("debug")
         task.run(engine="fast", tracer=fast)
         task.run(engine="reference", tracer=ref)
-        fast_metrics = fast.metrics.to_dict()
-        ref_metrics = ref.metrics.to_dict()
-        assert fast_metrics["histograms"] == ref_metrics["histograms"]
-        for name, value in fast_metrics["counters"].items():
-            assert ref_metrics["counters"][name] == pytest.approx(value)
+        assert fast.metrics.to_dict() == ref.metrics.to_dict()
+        assert any(name.startswith("cap.") for name in ref.metrics.counters)

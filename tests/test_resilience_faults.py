@@ -23,7 +23,6 @@ from repro.analysis.resilience import (
     corrupt_resilience_point,
     resilience_payload_error,
 )
-from repro.errors import SimulationError
 from repro.nvp.backup import BackupRecord
 from repro.nvp.processor import NonvolatileProcessor
 from repro.resilience import (
@@ -250,11 +249,16 @@ class TestRateZeroDifferential:
         assert engine.simulation_results_equal(auto, ref)
 
     def test_fast_executive_refuses_resilience(self):
-        from repro.core.fastexec import fast_executive_run
+        # The C replay cannot model faults, so it refuses the lane and
+        # engine="fast" runs the reference loop instead.
+        from repro.core.batchexec import executive_refusal
 
-        ex = _exec_task().build_executive(resilience=RATE0)
-        with pytest.raises(SimulationError, match="resilience"):
-            fast_executive_run(ex)
+        task = _exec_task()
+        ex = task.build_executive(resilience=RATE0)
+        assert "resilience" in executive_refusal(ex)
+        fast = ex.run(engine="fast")
+        ref = task.build_executive(resilience=RATE0).run(engine="reference")
+        assert engine.executive_results_equal(fast, ref)
 
     def test_guard_pricing_changes_backup_energy(self):
         trace = _trace()
