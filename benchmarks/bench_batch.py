@@ -2,12 +2,13 @@
 
 Times the two paper grids the batch tier was built for, each two ways:
 
-1. ``parallel`` — today's per-task fast path fanned out over
-   ``run_grid(workers=N)`` / ``run_executive_grid(workers=N)`` with the
-   batch tier disabled (the path this PR is measured against);
+1. ``parallel`` — ``run_grid(workers=N)`` /
+   ``run_executive_grid(workers=N)`` with the batch tier disabled:
+   every task replays as its own one-lane plan through the same C
+   kernels, fanned out over the process pool;
 2. ``batch`` — the same grid replayed through the compiled batch
    kernels (:mod:`repro.system.batchsim` / :mod:`repro.core.batchexec`)
-   in one in-process pass.
+   as one ragged plan, in one in-process pass.
 
 Grids:
 
@@ -16,9 +17,11 @@ Grids:
 * **fig24** — the incidental-executive pragma sweep (retention policy
   x profile, median kernel).
 
-Every batched lane is checked field-for-field against the per-task
-vectorized result before any number is reported (``bit_exact`` in the
-JSON is asserted, not assumed). Results land in ``BENCH_batch.json``;
+Both timed paths run the same kernels, so neither can vouch for the
+other: every lane of both is checked field-for-field against the
+per-tick reference loop (``task.run(engine="reference")``, untimed)
+before any number is reported (``bit_exact`` in the JSON is asserted,
+not assumed). Results land in ``BENCH_batch.json``;
 CI runs ``--quick`` and requires ``bit_exact: true``. The full run
 exits nonzero if either grid's batch speedup falls below the 5x
 acceptance bar.
@@ -115,16 +118,19 @@ def run_benchmark(workers: int, quick: bool) -> dict:
     bat24, bat24_s = _time_executive(fig24, workers, batch=True)
 
     mismatches = []
-    for task, a, b in zip(fig15.tasks(), bat15.results, par15.results):
-        if not engine.simulation_results_equal(a, b):
-            mismatches.append(f"fig15 {task}")
-    for task, a, b in zip(fig24, bat24.results, par24.results):
-        if not engine.executive_results_equal(a, b):
-            mismatches.append(f"fig24 {task}")
+    for task, bat, par in zip(fig15.tasks(), bat15.results, par15.results):
+        ref = task.run(engine="reference")
+        for label, got in (("batch", bat), ("parallel", par)):
+            if not engine.simulation_results_equal(got, ref):
+                mismatches.append(f"fig15 {label} {task}")
+    for task, bat, par in zip(fig24, bat24.results, par24.results):
+        ref = task.run(engine="reference")
+        for label, got in (("batch", bat), ("parallel", par)):
+            if not engine.executive_results_equal(got, ref):
+                mismatches.append(f"fig24 {label} {task}")
     if mismatches:
         raise AssertionError(
-            "batch tier diverged from the per-task path on: "
-            + "; ".join(mismatches)
+            "diverged from the reference loop on: " + "; ".join(mismatches)
         )
 
     return {

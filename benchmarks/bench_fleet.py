@@ -3,8 +3,9 @@
 Times one heterogeneous fleet (mostly ~1s sensor windows plus a small
 band of long-horizon gateway devices) three ways:
 
-1. ``parallel`` — the per-task fast path fanned out over
-   ``run_grid(workers=N, batch=False)`` (the pre-batch-tier baseline);
+1. ``parallel`` — ``run_grid(workers=N, batch=False)``: every device
+   replays as its own one-lane C plan, fanned out over the process
+   pool (the pre-batch-tier baseline);
 2. ``single_chunk`` — the batch tier with both chunk budgets removed,
    so every lane lands in ONE ragged plan replayed in process: the
    whole fleet's ticks in one plan, with no pool;
@@ -12,11 +13,14 @@ band of long-horizon gateway devices) three ways:
    dispatched across the process pool in tick-balanced chunks.
 
 Every chunked lane is checked field-for-field against both the
-per-task grid and the single-chunk grid before any number is reported,
-and a sample of devices is re-simulated directly through
-``FleetDeviceTask.run()`` (``bit_exact`` in the JSON is asserted, not
-assumed). Results land in ``BENCH_fleet.json``; CI runs ``--quick``
-and requires ``bit_exact: true``. The full run exits nonzero if the
+per-task grid and the single-chunk grid before any number is reported.
+All three run the same C kernel, so those checks show only that plan
+shape and chunking never change a result. Five evenly spaced devices
+are therefore also re-simulated on the per-tick reference loop
+(``FleetDeviceTask.run(engine="reference")``), the independent oracle
+(``bit_exact`` in the JSON is asserted, not assumed). Results land in
+``BENCH_fleet.json``; CI runs ``--quick`` and requires
+``bit_exact: true``. The full run exits nonzero if the
 chunked tier misses the 3x-vs-parallel or 1.5x-vs-single-chunk bars.
 
 Usage::
@@ -106,11 +110,12 @@ def run_benchmark(workers: int, quick: bool) -> dict:
             mismatches.append(f"chunked vs parallel: device {task.device_id}")
         if not engine.simulation_results_equal(c, s):
             mismatches.append(f"chunked vs single-chunk: device {task.device_id}")
-    # Anchor a sample against the direct (non-grid) simulation path too.
+    # Anchor a sample against the reference loop, which shares no code
+    # with the kernel.
     step = max(1, len(tasks) // 5)
     for task, c in list(zip(tasks, chunked.results))[::step]:
-        if not engine.simulation_results_equal(c, task.run()):
-            mismatches.append(f"chunked vs direct run: device {task.device_id}")
+        if not engine.simulation_results_equal(c, task.run(engine="reference")):
+            mismatches.append(f"chunked vs reference: device {task.device_id}")
     if mismatches:
         raise AssertionError(
             "chunked batch tier diverged on: " + "; ".join(mismatches[:10])

@@ -32,10 +32,12 @@ place that executes those sweeps:
 Simulations go through the bit-exact C replay kernels by default
 (``engine="auto"``): a grid as one batch plan, a single task as a
 one-lane plan (:mod:`repro.system.batchsim`,
-:mod:`repro.core.batchexec`). Traced, fault-injected and refused runs,
-and every run on a host without a C compiler, take the per-tick
-reference loop; pass ``engine="reference"`` to force it, e.g. for the
-differential benchmark.
+:mod:`repro.core.batchexec`). Traced runs, device-resilience runs,
+lanes the kernel refuses, and every run on a host without a C compiler
+take the per-tick reference loop; pass ``engine="reference"`` to force
+it, e.g. for the differential benchmark. A run under a
+:mod:`repro.analysis.faults` plan loses only the batch tier: each task
+still runs on the C kernel as a one-lane plan.
 
 Per-task execution goes through one robust core (:func:`_run_robust`):
 per-task timeouts, bounded retry with backoff, payload validation
