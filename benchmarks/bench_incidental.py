@@ -1,9 +1,8 @@
 """Benchmarks for the headline results: Figures 26-28, Table 2, Section 7.
 
 Besides the pytest-style artifact checks below, this module doubles as
-the incidental-executive perf snapshot (the executive twin of
-``bench_engine.py``). It times the Figure 24 + Figure 28 executive
-sweep three ways:
+the incidental-executive perf snapshot. It times the Figure 24 +
+Figure 28 executive sweep three ways:
 
 1. ``serial_reference`` — the per-tick :class:`IncidentalExecutive`
    loop, one task at a time (the pre-engine baseline);
@@ -21,8 +20,8 @@ comparable with older snapshots.
 Every configuration's fast-path result is checked field-for-field
 against the reference before the numbers are reported, so the snapshot
 can never be "fast but wrong". The memoised post-hoc quality replay is
-timed cold and warm as well. Results land in ``BENCH_incidental.json``
-(same shape as ``BENCH_engine.json``); CI runs ``--quick``.
+timed cold and warm as well. Results land in ``BENCH_incidental.json``;
+CI runs ``--quick``.
 
 Usage::
 

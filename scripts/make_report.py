@@ -25,8 +25,7 @@ ORDER = [
 
 #: Perf snapshots (repo root JSON), appended after the artifact tables.
 BENCH_ORDER = [
-    "BENCH_engine.json", "BENCH_incidental.json", "BENCH_batch.json",
-    "BENCH_faults.json", "BENCH_resilience.json", "BENCH_fleet.json",
+    "BENCH_incidental.json", "BENCH_faults.json", "BENCH_resilience.json",
     "BENCH_runtable.json",
 ]
 

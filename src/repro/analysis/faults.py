@@ -81,8 +81,10 @@ class FaultPlan:
     """A deterministic schedule of faults for one (or any) grid kind.
 
     ``faults`` maps ``(task_index, attempt)`` to the fault to inject;
-    ``scope`` restricts the plan to one grid kind (``"fixed"``,
-    ``"executive"``, ``"trace"``) or applies to every kind if ``None``.
+    ``scope`` restricts the plan to one grid kind (``"fixed"``, which
+    covers fleets too, ``"executive"``, ``"resilience"`` or
+    ``"trace"``) or applies to every kind if ``None``. An active plan
+    turns the batch tier off, so every task it covers runs per task.
     """
 
     faults: Mapping[Tuple[int, int], FaultSpec] = field(default_factory=dict)

@@ -1,10 +1,10 @@
 """Perf-trajectory surface over the repo's ``BENCH_*.json`` snapshots.
 
 Each tier's benchmark harness commits a flat JSON snapshot
-(``BENCH_engine.json``, ``BENCH_fleet.json``, ...) at the repository
-root. This module folds every snapshot into one long-format table —
-``(bench, metric, value)`` rows, numeric leaves only, booleans as
-1/0 — so perf history is queryable with the same slicing tools as the
+(``BENCH_incidental.json``, ``BENCH_runtable.json``, ...) at the
+repository root. This module folds every snapshot into one long-format
+table — ``(bench, metric, value)`` rows, numeric leaves only, booleans
+as 1/0 — so perf history is queryable with the same slicing tools as the
 run table, and CI can gate on regressions between a baseline checkout
 and the current one.
 

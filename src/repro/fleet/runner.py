@@ -87,19 +87,17 @@ def run_fleet(
     workers: Optional[int] = None,
     engine: str = "auto",
     cache: Optional["engine_mod.ResultCache"] = None,
-    batch: Optional[bool] = None,
 ) -> FleetResult:
     """Simulate every device of ``spec`` and summarise the population.
 
     Execution is delegated to :func:`repro.analysis.engine.run_grid`
-    (same tiers, cache and telemetry as any experiment grid), so a
-    fleet is deterministic for any worker count and chunking, and
-    warm-cache reruns skip simulation entirely.
+    (same tiers, cache and telemetry as any experiment grid; the engine
+    picks the tier itself), so a fleet is deterministic for any worker
+    count, chunking and tier, and warm-cache reruns skip simulation
+    entirely.
     """
     tasks = spec.tasks()
-    grid = engine_mod.run_grid(
-        tasks, workers=workers, cache=cache, engine=engine, batch=batch
-    )
+    grid = engine_mod.run_grid(tasks, workers=workers, cache=cache, engine=engine)
     results = grid.results
 
     progress = np.array(

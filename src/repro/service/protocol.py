@@ -251,9 +251,10 @@ def execute_campaign(
 ) -> Tuple[List[str], Dict[str, object]]:
     """Run ``campaign`` through the engine; returns (JSONL lines, summary).
 
-    Uses the process-wide engine configuration (cache, workers, batch
-    tier) exactly like a direct :func:`run_grid` call would — that is
-    the whole point: the service path adds transport, never semantics.
+    Uses the process-wide engine configuration (cache, workers, chunk
+    budgets) and the engine's own tier choice exactly like a direct
+    :func:`run_grid` call would — that is the whole point: the service
+    path adds transport, never semantics.
     A set ``cancel_event`` aborts between engine waves/tasks with
     :class:`~repro.errors.JobCancelledError`.
     """

@@ -10,6 +10,7 @@ chunk-sharded batch tier, ``fleet-`` prefixed cache entries, and the
 import numpy as np
 import pytest
 
+from repro.analysis import telemetry
 from repro.analysis import engine as engine_mod
 from repro.analysis.engine import ResultCache, simulation_results_equal
 from repro.errors import ConfigurationError
@@ -21,6 +22,7 @@ from repro.fleet import (
     clear_fleet_trace_memo,
     run_fleet,
 )
+from repro.system.batchsim import batch_available
 
 pytestmark = pytest.mark.fleet
 
@@ -102,11 +104,14 @@ class TestFleetSpec:
 class TestRunFleet:
     def test_batch_matches_per_task_path(self):
         batched = run_fleet(SMALL)
-        per_task = run_fleet(SMALL, batch=False)
-        for a, b in zip(batched.results, per_task.results):
+        if batch_available():
+            tiers = {t.executed_in for t in telemetry.last_report().tasks}
+            assert tiers == {"batch"}
+        reference = run_fleet(SMALL, engine="reference")
+        for a, b in zip(batched.results, reference.results):
             assert simulation_results_equal(a, b)
-        assert batched.progress_percentiles == per_task.progress_percentiles
-        assert batched.availability_cdf == per_task.availability_cdf
+        assert batched.progress_percentiles == reference.progress_percentiles
+        assert batched.availability_cdf == reference.availability_cdf
 
     def test_chunked_matches_unchunked(self):
         engine_mod.configure(batch_chunk_lanes=0, batch_chunk_bytes=0)
@@ -200,4 +205,7 @@ class TestFleetArtifact:
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         assert "fleet" in module.ORDER
-        assert "BENCH_fleet.json" in module.BENCH_ORDER
+        # A retired snapshot must leave the report order with it.
+        root = path.parent.parent
+        for name in module.BENCH_ORDER:
+            assert (root / name).is_file(), name

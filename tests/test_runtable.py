@@ -544,7 +544,7 @@ class TestTrajectory:
         rows = trajectory.bench_rows(root)
         assert rows, "repo should carry BENCH_*.json snapshots"
         benches = {row["bench"] for row in rows}
-        assert "engine" in benches
+        assert "runtable" in benches
         blob = trajectory.history_csv_bytes(rows)
         assert blob.startswith(b"bench,metric,value,direction\n")
         assert trajectory.history_csv_bytes(rows) == blob
