@@ -68,7 +68,9 @@ class TaskTelemetry:
     crashes: int = 0
     timeouts: int = 0
     corrupt_payloads: int = 0
-    executed_in: str = ""  #: ``batch`` | ``pool`` | ``serial`` | ``degraded`` | ``""`` (cache hit)
+    #: ``batch`` (a batch-tier lane, however chunked) | ``pool`` |
+    #: ``serial`` | ``degraded`` | ``""`` (cache hit)
+    executed_in: str = ""
     #: Device-level metrics payload (``MetricsRegistry.to_dict`` form)
     #: captured by an enabled tracer; empty when observability is off or
     #: the task was served from a cache (cached results carry no trace).
