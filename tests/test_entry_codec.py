@@ -11,12 +11,14 @@ guarantees of ``tests/test_cache_quarantine.py``.
 ``np.load`` lives here only, as the oracle.
 """
 
+import hashlib
 import io
 import json
 import struct
 import warnings
 import zipfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.analysis import engine, telemetry
 from repro.analysis._npz import read_npz
-from repro.analysis.resilience import ResilienceCampaign
+from repro.analysis.resilience import ResilienceCampaign, run_resilience_grid
 from repro.core.executive import ExecutiveResult, FrameRecord
 from repro.system.metrics import SimulationResult
 
@@ -370,3 +372,66 @@ def test_point_entries_decode_like_the_oracle(tmp_path):
     assert paths
     for path in paths:
         assert engine.decode_point_entry(path) == _oracle_point(path.read_bytes())
+
+
+# -- golden entry bytes --------------------------------------------------------
+
+
+#: sha256 of each golden task's entry bytes, by label.
+_GOLDEN_ENTRY_SHA256 = json.loads(
+    (Path(__file__).with_name("golden") / "entry_digests.json").read_text()
+)
+
+
+def _golden_entries():
+    """``label -> entry bytes`` of a few 2 s tasks of every entry kind.
+
+    ``exec/median/linear/p1`` runs a 1500-tick frame period, so its
+    frames record outage exposures and the pin covers that table too.
+    """
+    fixed = {
+        "fixed/median/precise/p1/b8": engine.FixedBitTask(
+            profile_id=1, bits=8, kernel="median", duration_s=2.0
+        ),
+        "fixed/sobel/linear/p3/b4": engine.FixedBitTask(
+            profile_id=3, bits=4, policy="linear", kernel="sobel", duration_s=2.0
+        ),
+        "fixed/log/seed7/b2": engine.FixedBitTask(
+            profile_id=2, bits=2, policy="log", seed=7, duration_s=2.0
+        ),
+    }
+    executive = {
+        "exec/median/linear/p1": engine.ExecutiveTask(
+            kernel="median", policy="linear", profile_id=1, minbits=2,
+            duration_s=2.0, frame_period_ticks=1500,
+        ),
+        "exec/median/log/p2": engine.ExecutiveTask(
+            kernel="median", policy="log", profile_id=2, minbits=2, duration_s=2.0
+        ),
+    }
+    entries = {
+        label: engine.fixed_entry_bytes(task.run()) for label, task in fixed.items()
+    }
+    for label, task in executive.items():
+        result = task.run()
+        if label == "exec/median/linear/p1":
+            assert any(frame.exposures for frame in result.frames)
+        entries[label] = engine.executive_entry_bytes(result)
+    campaign = ResilienceCampaign(
+        rates=(0.0, 0.2), policies=("linear",), kernels=("median",), duration_s=2.0
+    )
+    points = run_resilience_grid(campaign.tasks(), workers=1)
+    for rate, point in zip(campaign.rates, points):
+        entries[f"res/median/linear/rate{rate}"] = engine.point_entry_bytes(
+            point.to_dict()
+        )
+    return entries
+
+
+def test_entry_bytes_match_the_golden_digests():
+    """Entry bytes are pinned independently of the numpy that wrote them."""
+    digests = {
+        label: hashlib.sha256(data).hexdigest()
+        for label, data in _golden_entries().items()
+    }
+    assert digests == _GOLDEN_ENTRY_SHA256
