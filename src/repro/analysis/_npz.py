@@ -1,9 +1,18 @@
-"""A strict reader for the ``.npz`` archives ``np.savez`` writes.
+"""Strict writer and reader for the ``.npz`` archives cache entries use.
 
-Cache entries and service result streams are written by
-``np.savez_compressed``. Reading them back through ``np.load`` runs
-:mod:`zipfile`'s general archive machinery and an ``ast.literal_eval``
-per array header, which dominates warm-cache decode time. This reader
+:func:`write_npz` emits exactly the bytes ``np.savez_compressed``
+emits for the arrays cache entries hold, without numpy's and
+:mod:`zipfile`'s general machinery: one ``<name>.npy`` member per
+array, each a level-6 raw deflate of the ``.npy`` file with a zip64
+extra in its local header, a DOS date of 1980-01-01, then the same
+central directory and end record. It refuses, with
+:class:`ValueError`, every array it would not reproduce byte for byte
+(Fortran-ordered, object, structured or pickled dtypes). The entry
+bytes are pinned by ``tests/golden/entry_digests.json``, so a later
+numpy that changes its zip layout cannot change them.
+
+:func:`read_npz` replaces ``np.load``, whose general archive machinery
+and per-array ``ast.literal_eval`` dominate warm-cache decode time. It
 accepts exactly the layout numpy writes: one ``<name>.npy`` zip member
 per array, stored or raw-deflated, optionally followed by a data
 descriptor, with no encryption, no zip64 end records and no archive
@@ -27,11 +36,11 @@ import math
 import re
 import struct
 import zlib
-from typing import Dict, Union
+from typing import Dict, List, Mapping, Union
 
 import numpy as np
 
-__all__ = ["read_npz"]
+__all__ = ["read_npz", "write_npz"]
 
 _EOCD = struct.Struct("<4s4H2LH")
 _CENTRAL = struct.Struct("<4s4B4HL2L5H2L")
@@ -41,10 +50,26 @@ _EOCD_SIG = b"PK\x05\x06"
 _CENTRAL_SIG = b"PK\x01\x02"
 _LOCAL_SIG = b"PK\x03\x04"
 
+_ZIP64_EXTRA = struct.Struct("<2H2Q")
+
 _FLAG_DATA_DESCRIPTOR = 0x08
 _FLAG_UTF8_NAME = 0x800
 _STORED = 0
 _DEFLATED = 8
+
+#: What ``zipfile`` writes for a forced-zip64 member: "version 4.5"
+#: made by and needed, made on Unix, the DOS date 1980-01-01 00:00,
+#: ``-rw-------`` permissions, and 32-bit size fields of 0xFFFFFFFF in
+#: the local header, whose zip64 extra carries the real sizes.
+_ZIP64_VERSION = 45
+_UNIX = 3
+_DOS_TIME = 0
+_DOS_DATE = 1 << 5 | 1
+_EXTERNAL_ATTR = 0o600 << 16
+_SIZE_IN_EXTRA = 0xFFFFFFFF
+#: Beyond this, ``zipfile`` moves central-directory fields into zip64
+#: records, which :func:`write_npz` does not write.
+_ZIP64_LIMIT = (1 << 31) - 1
 
 _NPY_MAGIC = b"\x93NUMPY"
 #: ``(header-length bytes, header encoding)`` per ``.npy`` version.
@@ -56,7 +81,96 @@ _NPY_HEADER = re.compile(
     r"'shape': \(([0-9, ]*)\), \} *\n"
 )
 
+#: ``np.lib.format`` pads the header so the payload starts on this
+#: boundary, and leaves room for the first axis to grow to this many
+#: digits.
+_NPY_ALIGN = 64
+_NPY_GROWTH_DIGITS = 21
+#: Dtype kinds whose ``.npy`` form is the raw array bytes (no pickle).
+_PLAIN_KINDS = frozenset("biufcmMSUV")
+
 Buffer = Union[bytes, bytearray]
+
+
+def write_npz(arrays: Mapping[str, np.ndarray]) -> bytes:
+    """The ``np.savez_compressed(buffer, **arrays)`` bytes of ``arrays``.
+
+    Members follow the mapping's order. Raises :class:`ValueError` on
+    an array whose bytes would differ from numpy's: Fortran-ordered,
+    object, structured or non-legacy dtypes, and archives too large
+    for 32-bit central-directory fields.
+    """
+    out = bytearray()
+    central: List[bytes] = []
+    for name, value in arrays.items():
+        array = np.asanyarray(value)
+        header = _npy_header(array, name)
+        if not array.flags.c_contiguous:
+            array = np.ascontiguousarray(array)
+        # Two compress calls, as numpy's member writer makes them: the
+        # header, then the payload. Deflate output does not depend on
+        # the split; the CRC chains the same way.
+        deflate = zlib.compressobj(6, zlib.DEFLATED, -zlib.MAX_WBITS)
+        data = deflate.compress(header) + deflate.compress(array) + deflate.flush()
+        crc = zlib.crc32(array, zlib.crc32(header))
+        usize = len(header) + array.nbytes
+        offset = len(out)
+        if max(usize, len(data), offset) > _ZIP64_LIMIT:
+            raise ValueError(f"{name}: archive too large for 32-bit zip fields")
+        member = f"{name}.npy"
+        try:
+            raw_name, flags = member.encode("ascii"), 0
+        except UnicodeEncodeError:
+            raw_name, flags = member.encode("utf-8"), _FLAG_UTF8_NAME
+        out += _LOCAL.pack(
+            _LOCAL_SIG, _ZIP64_VERSION, 0, flags, _DEFLATED, _DOS_TIME,
+            _DOS_DATE, crc, _SIZE_IN_EXTRA, _SIZE_IN_EXTRA, len(raw_name),
+            _ZIP64_EXTRA.size,
+        )
+        out += raw_name
+        out += _ZIP64_EXTRA.pack(1, _ZIP64_EXTRA.size - 4, usize, len(data))
+        out += data
+        central.append(
+            _CENTRAL.pack(
+                _CENTRAL_SIG, _ZIP64_VERSION, _UNIX, _ZIP64_VERSION, 0, flags,
+                _DEFLATED, _DOS_TIME, _DOS_DATE, crc, len(data), usize,
+                len(raw_name), 0, 0, 0, 0, _EXTERNAL_ATTR, offset,
+            )
+            + raw_name
+        )
+    cd_offset = len(out)
+    for record in central:
+        out += record
+    if len(out) > _ZIP64_LIMIT or len(central) > 0xFFFF:
+        raise ValueError("archive too large for 32-bit zip fields")
+    out += _EOCD.pack(
+        _EOCD_SIG, 0, 0, len(central), len(central), len(out) - cd_offset,
+        cd_offset, 0,
+    )
+    return bytes(out)
+
+
+def _npy_header(array: np.ndarray, name: str) -> bytes:
+    """The version 1.0 ``.npy`` header ``np.lib.format`` writes for
+    ``array``; raises :class:`ValueError` where numpy would write
+    anything else (Fortran order, a pickle, a list descr)."""
+    dtype = array.dtype
+    if dtype.hasobject or dtype.names is not None or dtype.kind not in _PLAIN_KINDS:
+        raise ValueError(f"{name}: dtype {dtype} is not written as plain bytes")
+    if array.flags.f_contiguous and not array.flags.c_contiguous:
+        raise ValueError(f"{name}: Fortran-ordered arrays are refused")
+    shape = array.shape
+    text = f"{{'descr': {dtype.str!r}, 'fortran_order': False, 'shape': {shape!r}, }}"
+    if shape:
+        text += " " * (_NPY_GROWTH_DIGITS - len(repr(shape[0])))
+    length = len(text) + 1
+    length += _NPY_ALIGN - (len(_NPY_MAGIC) + 4 + length) % _NPY_ALIGN
+    if length > 0xFFFF:
+        raise ValueError(f"{name}: .npy header too long for format 1.0")
+    return (
+        _NPY_MAGIC + b"\x01\x00" + struct.pack("<H", length)
+        + text.encode("latin1").ljust(length - 1) + b"\n"
+    )
 
 
 def read_npz(data: Buffer) -> Dict[str, np.ndarray]:

@@ -58,7 +58,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -95,7 +94,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 from . import faults, telemetry
-from ._npz import read_npz
+from ._npz import read_npz, write_npz
 from .._validation import check_int_in_range, check_positive
 from ..core.executive import (
     ExecutiveResult,
@@ -558,14 +557,19 @@ _CORRUPT_ENTRY_ERRORS = (
 #
 # The byte encoding of a cache entry is defined *once*, here, and used
 # by both the on-disk store and the campaign service's result streams.
-# ``np.savez_compressed`` is byte-deterministic for a fixed payload
+# :func:`~repro.analysis._npz.write_npz` writes it: exactly the bytes
+# ``np.savez_compressed`` writes, byte-deterministic for a fixed payload
 # (tests/test_batch_tiers.py relies on this for cross-tier cache-byte
-# identity), so "the entry the service streamed" and "the entry a
-# direct run wrote to disk" are the same bytes by construction. Reads
-# go through :func:`~repro.analysis._npz.read_npz`, which accepts
-# exactly the layout ``np.savez_compressed`` writes and checks every
-# member's size and CRC-32, dtype and shape (tests/test_entry_codec.py
-# holds it differentially equal to ``np.load``).
+# identity) and pinned by ``tests/golden/entry_digests.json``. An entry
+# is encoded once, when it is computed: the hot tier holds the bytes
+# that were written or read, and the service streams them, so "the
+# entry the service streamed" and "the entry a direct run wrote to
+# disk" are the same bytes by construction and a hit is never
+# re-encoded. Reads go through :func:`~repro.analysis._npz.read_npz`,
+# which accepts exactly that layout and checks every member's size and
+# CRC-32, dtype and shape (tests/test_entry_codec.py holds the writer
+# and the reader differentially equal to ``np.savez_compressed`` and
+# ``np.load``).
 
 
 def _result_scalars(result: SimulationResult) -> Dict[str, object]:
@@ -578,16 +582,15 @@ def _result_scalars(result: SimulationResult) -> Dict[str, object]:
 
 def fixed_entry_bytes(result: SimulationResult) -> bytes:
     """The canonical ``.npz`` byte encoding of one fixed-bit entry."""
-    buffer = io.BytesIO()
-    np.savez_compressed(
-        buffer,
-        version=np.array(ENGINE_CACHE_VERSION),
-        scalars=np.array(json.dumps(_result_scalars(result))),
-        bit_schedule=result.bit_schedule,
-        lane_schedule=result.lane_schedule,
-        backup_ticks=np.asarray(result.backup_ticks, dtype=np.int64),
+    return write_npz(
+        {
+            "version": np.array(ENGINE_CACHE_VERSION),
+            "scalars": np.array(json.dumps(_result_scalars(result))),
+            "bit_schedule": result.bit_schedule,
+            "lane_schedule": result.lane_schedule,
+            "backup_ticks": np.asarray(result.backup_ticks, dtype=np.int64),
+        }
     )
-    return buffer.getvalue()
 
 
 def executive_entry_bytes(result: ExecutiveResult) -> bytes:
@@ -613,30 +616,28 @@ def executive_entry_bytes(result: ExecutiveResult) -> bytes:
         for outage_ticks, elements_done in f.exposures:
             exposure_rows.append((i, outage_ticks, elements_done))
     exposures = np.asarray(exposure_rows, dtype=np.int64).reshape(-1, 3)
-    buffer = io.BytesIO()
-    np.savez_compressed(
-        buffer,
-        version=np.array(ENGINE_CACHE_VERSION),
-        scalars=np.array(json.dumps(scalars)),
-        bit_schedule=result.sim.bit_schedule,
-        lane_schedule=result.sim.lane_schedule,
-        backup_ticks=np.asarray(result.sim.backup_ticks, dtype=np.int64),
-        frame_meta=frame_meta,
-        element_bits=element_bits,
-        exposures=exposures,
+    return write_npz(
+        {
+            "version": np.array(ENGINE_CACHE_VERSION),
+            "scalars": np.array(json.dumps(scalars)),
+            "bit_schedule": result.sim.bit_schedule,
+            "lane_schedule": result.sim.lane_schedule,
+            "backup_ticks": np.asarray(result.sim.backup_ticks, dtype=np.int64),
+            "frame_meta": frame_meta,
+            "element_bits": element_bits,
+            "exposures": exposures,
+        }
     )
-    return buffer.getvalue()
 
 
 def point_entry_bytes(payload: Dict[str, object]) -> bytes:
     """The canonical ``.npz`` byte encoding of one resilience point."""
-    buffer = io.BytesIO()
-    np.savez_compressed(
-        buffer,
-        version=np.array(ENGINE_CACHE_VERSION),
-        payload=np.array(json.dumps(payload, sort_keys=True)),
+    return write_npz(
+        {
+            "version": np.array(ENGINE_CACHE_VERSION),
+            "payload": np.array(json.dumps(payload, sort_keys=True)),
+        }
     )
-    return buffer.getvalue()
 
 
 _EntrySource = Union[bytes, bytearray, str, os.PathLike]
@@ -725,7 +726,7 @@ class TaskKind:
     the cache quarantines it); ``validate`` says why a worker payload is
     untrustworthy (``None`` if it is sane); ``corrupt`` is the breakage
     an injected ``corrupt`` fault applies; ``copy`` is the defensive
-    copy the memo and the hot tier hand out. ``batch`` replays a
+    copy the memo hands out. ``batch`` replays a
     sequence of tasks as batch lanes, one
     :class:`~repro.system.batchsim.LaneOutcome` each; ``None`` means
     the kind has no batch tier.
@@ -824,7 +825,7 @@ _KINDS: Dict[str, TaskKind] = {k.name: k for k in (FIXED, EXECUTIVE, RESILIENCE)
 
 
 class CacheHotTier:
-    """Byte-bounded read-through LRU in front of an on-disk store.
+    """Byte-bounded read-through LRU of entry bytes in front of an on-disk store.
 
     Entries are keyed by the entry's absolute path and guarded by the
     file's stat signature ``(st_ino, st_mtime_ns, st_size)``: every
@@ -834,15 +835,19 @@ class CacheHotTier:
     the entry and reads fall through to disk (exact-merge safety with
     concurrent writers in other processes).
 
-    The tier stores **parsed** values (decode once, serve many); the
-    byte budget is charged at the on-disk entry size, which tracks the
-    real memory footprint within a small constant factor while keeping
-    the accounting deterministic. Thread-safe.
+    The tier holds each entry's **bytes**, exactly as they sit in the
+    file, and takes them only from a write (the bytes just written) or
+    from a read that decoded them (bytes that just passed every check of
+    ``kind.decode``), so it is checked once, when it is filled. The
+    budget charges ``len(data)``, which is what the tier holds: it
+    bounds the tier's memory up to per-entry bookkeeping. A hit hands
+    the bytes back; the cache decodes them into fresh values and the
+    campaign service streams them as they are. Thread-safe.
     """
 
     def __init__(self, max_bytes: int) -> None:
         self.max_bytes = check_int_in_range(max_bytes, "max_bytes", 1)
-        self._entries: "OrderedDict[str, Tuple[Tuple[int, int, int], object, int]]" = (
+        self._entries: "OrderedDict[str, Tuple[Tuple[int, int, int], bytes]]" = (
             OrderedDict()
         )
         self._lock = threading.Lock()
@@ -863,50 +868,55 @@ class CacheHotTier:
     def _drop(self, key: str) -> None:
         entry = self._entries.pop(key, None)
         if entry is not None:
-            self.current_bytes -= entry[2]
+            self.current_bytes -= len(entry[1])
 
-    def lookup(self, path: Path) -> Optional[object]:
-        """The cached parsed value for ``path``, or ``None``.
+    def peek(self, path: Path) -> Optional[bytes]:
+        """The held bytes for ``path``, or ``None``; counts nothing.
 
-        Validates the stat signature against the live file on every
-        hit; any mismatch (overwritten, quarantined, deleted) drops the
-        entry and reports a miss.
+        Validates the stat signature against the live file; any
+        mismatch (overwritten, quarantined, deleted) drops the entry.
         """
         key = str(path)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
+            if key not in self._entries:
                 return None
         signature = self.signature(path)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None or signature is None or entry[0] != signature:
                 self._drop(key)
-                self.misses += 1
                 return None
             self._entries.move_to_end(key)
-            self.hits += 1
             return entry[1]
+
+    def lookup(self, path: Path) -> Optional[bytes]:
+        """:meth:`peek`, counted as a hit or a miss."""
+        data = self.peek(path)
+        with self._lock:
+            if data is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return data
 
     def store(
         self,
         path: Path,
         signature: Optional[Tuple[int, int, int]],
-        value: object,
-        nbytes: int,
+        data: bytes,
     ) -> None:
-        """Insert/replace the entry for ``path`` and enforce the budget."""
-        if signature is None or nbytes > self.max_bytes:
+        """Hold ``data``, the file bytes ``signature`` identifies, for
+        ``path``, and enforce the budget."""
+        if signature is None or len(data) > self.max_bytes:
             return
         key = str(path)
         with self._lock:
             self._drop(key)
-            self._entries[key] = (signature, value, int(nbytes))
-            self.current_bytes += int(nbytes)
+            self._entries[key] = (signature, data)
+            self.current_bytes += len(data)
             while self.current_bytes > self.max_bytes:
-                _, (_, _, evicted_bytes) = self._entries.popitem(last=False)
-                self.current_bytes -= evicted_bytes
+                _, (_, evicted) = self._entries.popitem(last=False)
+                self.current_bytes -= len(evicted)
                 self.evictions += 1
 
     def invalidate(self, path: Path) -> None:
@@ -1184,27 +1194,36 @@ class ResultCache:
                 raise
         return (st.st_ino, st.st_mtime_ns, st.st_size)
 
+    @staticmethod
+    def _read_entry(path: Path) -> Tuple[bytes, Tuple[int, int, int]]:
+        """An entry file's bytes and the stat signature of those bytes.
+
+        The signature comes from the open file itself, so it names the
+        inode the bytes were read from even if a writer replaces the
+        entry meanwhile.
+        """
+        with open(path, "rb") as handle:
+            st = os.fstat(handle.fileno())
+            return handle.read(), (st.st_ino, st.st_mtime_ns, st.st_size)
+
     def get(self, key: str, kind: TaskKind = FIXED) -> Optional[object]:
         """Load the ``kind`` entry for ``key``; ``None`` (a miss) if absent.
 
         A present entry that ``kind.decode`` cannot trust is
-        quarantined and reads as a miss. Hot-tier hits skip the disk
-        entirely (still counted in ``hits``); both tiers hand back
-        defensive copies (``kind.copy``).
+        quarantined and reads as a miss. A hot-tier hit skips the disk
+        and decodes the held bytes (still counted in ``hits``); a disk
+        read that decodes fills the hot tier with the file's bytes.
+        Every hit decodes fresh values, so no two callers share one.
         """
         path = self._path(key, kind)
-        signature = None
         if self.hot is not None:
-            hot = self.hot.lookup(path)
-            if hot is not None:
+            held = self.hot.lookup(path)
+            if held is not None:
                 self.hits += 1
-                return kind.copy(hot)
-            signature = CacheHotTier.signature(path)
-        if not path.exists():
-            self.misses += 1
-            return None
+                return kind.decode(held)
         try:
-            value = kind.decode(path)
+            data, signature = self._read_entry(path)
+            value = kind.decode(data)
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -1212,12 +1231,8 @@ class ResultCache:
             self._quarantine(path)
             self.misses += 1
             return None
-        # Warm the hot tier only if the file is unchanged since just
-        # before the read: after a concurrent overwrite mid-read the
-        # parsed value can no longer be attributed to the live file (the
-        # next read re-parses; correctness over warmth).
-        if signature is not None and CacheHotTier.signature(path) == signature:
-            self.hot.store(path, signature, kind.copy(value), signature[2])
+        if self.hot is not None:
+            self.hot.store(path, signature, data)
         self.hits += 1
         return value
 
@@ -1227,7 +1242,20 @@ class ResultCache:
         path = self._path(key, kind)
         signature = self._write_entry(path, data)
         if self.hot is not None:
-            self.hot.store(path, signature, kind.copy(result), len(data))
+            self.hot.store(path, signature, data)
+
+    def held_bytes(self, key: str, kind: TaskKind = FIXED) -> Optional[bytes]:
+        """The bytes the hot tier holds for the ``kind`` entry ``key``.
+
+        The entry exactly as :meth:`put` wrote it or :meth:`get` checked
+        it, for streaming without re-encoding. ``None`` when there is no
+        hot tier, the tier does not hold the entry (never filled, or
+        evicted) or the file was replaced since. Applies :meth:`get`'s
+        stat-signature check but counts no hit or miss.
+        """
+        if self.hot is None:
+            return None
+        return self.hot.peek(self._path(key, kind))
 
     def get_executive(self, key: str) -> Optional[ExecutiveResult]:
         """``get(key, EXECUTIVE)``."""
@@ -1321,8 +1349,9 @@ class ShardedResultCache(ResultCache):
     tier (:class:`CacheHotTier`); pass ``hot_bytes=0`` to disable it.
     """
 
-    #: Default hot-tier budget: enough for a few thousand small grid
-    #: entries without threatening a service worker's memory headroom.
+    #: Default hot-tier budget: 64 MiB of entry bytes, about 22k 10 s
+    #: entries of ~3 KB, without threatening a service worker's memory
+    #: headroom (the tier holds its budget plus per-entry bookkeeping).
     DEFAULT_HOT_BYTES = 64 * 1024 * 1024
 
     def __init__(

@@ -32,7 +32,7 @@ import asyncio
 import json
 import socket
 import threading
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Set, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from ..analysis import engine as engine_mod
@@ -123,6 +123,8 @@ class CampaignService:
             capacity=capacity, workers=workers, journal=journal
         )
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Open client connections; clients keep them alive between calls.
+        self._connections: Set[asyncio.StreamWriter] = set()
         self._drain_lock = threading.Lock()
         self._drain_thread: Optional[threading.Thread] = None
         self._drain_summary: Dict[str, int] = {}
@@ -190,6 +192,7 @@ class CampaignService:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._connections.add(writer)
         try:
             while True:
                 try:
@@ -232,6 +235,7 @@ class CampaignService:
             # the stream protocol's done-callback sees a clean task.
             pass
         finally:
+            self._connections.discard(writer)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -269,7 +273,7 @@ class CampaignService:
             doc: Dict[str, object] = {
                 "status": "draining" if self.draining else "ok",
                 "draining": self.draining,
-                "jobs": len(self.queue.jobs()),
+                "jobs": len(self.queue),
                 "jobs_by_state": counts,
                 "active": counts["queued"] + counts["running"],
                 "capacity": self.queue.capacity,
@@ -550,6 +554,11 @@ class CampaignService:
     async def aclose(self) -> None:
         if self._server is not None:
             self._server.close()
+            # Close idle kept-alive connections too: since Python 3.12.1
+            # ``wait_closed`` waits for every connection, and an idle one
+            # would hold it for the whole READ_TIMEOUT_S.
+            for writer in list(self._connections):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
         # Close runs off the event loop thread's executor so a slow
@@ -621,8 +630,13 @@ def start_in_thread(
     host: str = "127.0.0.1",
     journal: Union[str, JobJournal, None] = None,
     drain_timeout_s: float = 30.0,
+    port: int = 0,
 ) -> ServiceHandle:
-    """Start a fully wired service on a daemon thread; returns its handle."""
+    """Start a fully wired service on a daemon thread; returns its handle.
+
+    ``port=0`` (the default) binds an ephemeral port; a fixed ``port``
+    lets a test restart a service where its clients already connect.
+    """
     service = create_service(
         cache_dir,
         capacity=capacity,
@@ -639,7 +653,7 @@ def start_in_thread(
     def _run() -> None:
         asyncio.set_event_loop(loop)
         try:
-            loop.run_until_complete(service.start(host=host, port=0))
+            loop.run_until_complete(service.start(host=host, port=port))
         except Exception as exc:  # pragma: no cover - bind failure
             failure.append(exc)
             started.set()

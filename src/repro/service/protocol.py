@@ -15,14 +15,16 @@ objects **at submission time**, so a malformed campaign is a 400 at
 the door, never a failed job.
 
 Results stream back as JSONL, one line per task in deterministic task
-order. Array-carrying results (grid / executive / fleet) are encoded
-with the *same* entry codec the on-disk cache uses
-(:func:`repro.analysis.engine.fixed_entry_bytes` et al.), transported
-as base64 — so the bytes a client receives are, by construction,
-byte-identical to the ``.npz`` file a direct run writes into the
-cache. Resilience points travel as sorted-key JSON, identical to their
-cache payloads. The conformance suite
-(``tests/test_service_conformance.py``) holds this line.
+order. Array-carrying results (grid / executive / fleet) travel as
+base64 of their cache entry: the bytes the cache's hot tier holds for
+the entry (what the cache just wrote or just read and checked), or,
+where it holds none, the *same* entry codec the on-disk cache uses
+(:func:`repro.analysis.engine.fixed_entry_bytes` et al.) — so the
+bytes a client receives are, by construction, byte-identical to the
+``.npz`` file a direct run writes into the cache. Resilience points
+travel as sorted-key JSON, identical to their cache payloads. The
+conformance suite (``tests/test_service_conformance.py``) holds this
+line.
 """
 
 from __future__ import annotations
@@ -30,22 +32,24 @@ from __future__ import annotations
 import base64
 import dataclasses
 import hashlib
+import http.client
 import json
 import random
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import telemetry
 from ..analysis.engine import (
     EXECUTIVE,
+    FIXED,
     ExecutiveTask,
     FixedBitTask,
     GridSpec,
+    TaskKind,
     cancel_scope,
+    default_cache,
     executive_entry_bytes,
     fixed_entry_bytes,
     run_executive_grid,
@@ -245,6 +249,30 @@ def _entry_line(index: int, name: str, data: bytes) -> str:
     )
 
 
+def _entry_lines(
+    tasks: Sequence,
+    results: Sequence,
+    kind: TaskKind,
+    encode: Callable[[object], bytes],
+) -> List[str]:
+    """One ``task`` line per result, in task order.
+
+    Each line carries the bytes the cache's hot tier holds for the
+    entry, so a hit is never re-encoded; ``encode`` runs only for the
+    entries it does not hold (no cache or hot tier, evicted, or the
+    file replaced since).
+    """
+    cache = default_cache()
+    lines = []
+    for index, (task, result) in enumerate(zip(tasks, results)):
+        key = task.cache_key()
+        data = cache.held_bytes(key, kind) if cache is not None else None
+        if data is None:
+            data = encode(result)
+        lines.append(_entry_line(index, f"{kind.prefix}{key}.npz", data))
+    return lines
+
+
 def execute_campaign(
     campaign: Campaign,
     cancel_event: Optional["threading.Event"] = None,
@@ -264,24 +292,18 @@ def execute_campaign(
     if scope is not None:
         scope.__enter__()
     try:
+        # The encoders are looked up here, at call time, so a wrapper
+        # installed on this module's names sees every encode.
         if campaign.kind == "grid":
             grid = run_grid(campaign.tasks, engine=campaign.engine)
-            for i, (task, result) in enumerate(grid):
-                lines.append(
-                    _entry_line(
-                        i, f"{task.cache_key()}.npz", fixed_entry_bytes(result)
-                    )
-                )
+            lines += _entry_lines(
+                grid.tasks, grid.results, FIXED, fixed_entry_bytes
+            )
         elif campaign.kind == "executive":
             grid = run_executive_grid(campaign.tasks, engine=campaign.engine)
-            for i, (task, result) in enumerate(grid):
-                lines.append(
-                    _entry_line(
-                        i,
-                        f"{EXECUTIVE.prefix}{task.cache_key()}.npz",
-                        executive_entry_bytes(result),
-                    )
-                )
+            lines += _entry_lines(
+                grid.tasks, grid.results, EXECUTIVE, executive_entry_bytes
+            )
         elif campaign.kind == "resilience":
             points = run_resilience_grid(campaign.tasks, engine=campaign.engine)
             for i, point in enumerate(points):
@@ -294,14 +316,10 @@ def execute_campaign(
         else:  # fleet
             assert campaign.fleet is not None
             fleet_result = run_fleet(campaign.fleet, engine=campaign.engine)
-            for i, (task, result) in enumerate(
-                zip(fleet_result.tasks, fleet_result.results)
-            ):
-                lines.append(
-                    _entry_line(
-                        i, f"{task.cache_key()}.npz", fixed_entry_bytes(result)
-                    )
-                )
+            lines += _entry_lines(
+                fleet_result.tasks, fleet_result.results, FIXED,
+                fixed_entry_bytes,
+            )
             summary["fleet"] = {
                 "n_devices": len(fleet_result.tasks),
                 "progress_percentiles": fleet_result.progress_percentiles,
@@ -351,19 +369,83 @@ def summarize_reports(
 
 # -- stdlib HTTP client ---------------------------------------------------------
 #
-# The environment has no third-party HTTP client; urllib is entirely
-# sufficient for the service's JSON + JSONL surface, and using it here
-# keeps the CLI, tests and benchmark on one code path. The helpers are
-# *hardened*: connection errors (a server mid-restart) and 503s (a
-# draining or saturated queue) retry with jittered exponential
-# backoff, honouring any ``Retry-After`` the server sent — safe
-# because submissions are idempotent on their content hash.
+# The environment has no third-party HTTP client; ``http.client`` is
+# entirely sufficient for the service's JSON + JSONL surface, and using
+# it here keeps the CLI, tests and benchmark on one code path.
+#
+# Each thread keeps one kept-alive connection per ``(scheme,
+# host:port)``: a warm request is three calls (submit, wait, results),
+# and opening a TCP connection for each cost more than the server's
+# work. The server closes an idle connection after its read timeout
+# (``READ_TIMEOUT_S`` in ``app.py``) or when it restarts, so a reused
+# connection can be dead; such a connection fails before any response
+# byte arrives, and the request is resent once on a fresh connection
+# without spending a retry. A ``Connection: close`` answer closes the
+# connection, and the next call opens a fresh one.
+#
+# The helpers are *hardened*: a failure on a fresh connection (a
+# server mid-restart) and 503s (a draining or saturated queue) retry
+# with jittered exponential backoff, honouring any ``Retry-After`` the
+# server sent — safe because submissions are idempotent on their
+# content hash.
 
 #: HTTP statuses the retrying client treats as transient.
 RETRYABLE_STATUSES = (503,)
 
 #: Upper bound on any single backoff sleep.
 MAX_BACKOFF_S = 10.0
+
+#: How a reused connection the server closed while it sat idle fails:
+#: before any response byte arrives.
+_STALE_CONNECTION_ERRORS = (
+    http.client.RemoteDisconnected,
+    ConnectionResetError,
+    BrokenPipeError,
+)
+
+_CONNECTION_SCHEMES = {
+    "http": http.client.HTTPConnection,
+    "https": http.client.HTTPSConnection,
+}
+
+#: Per thread: ``{(scheme, host:port): connection}``.
+_connections = threading.local()
+
+
+def _split_url(url: str) -> Tuple[str, str, str]:
+    """``(scheme, host:port, request target)`` of an HTTP(S) URL."""
+    scheme, sep, rest = url.partition("://")
+    if not sep or scheme not in _CONNECTION_SCHEMES:
+        raise ValueError(f"not an http(s) URL: {url!r}")
+    netloc, slash, path = rest.partition("/")
+    return scheme, netloc, (slash + path) or "/"
+
+
+def _connection(scheme: str, netloc: str) -> http.client.HTTPConnection:
+    """This thread's connection to ``scheme://netloc`` (opened lazily)."""
+    pool = getattr(_connections, "pool", None)
+    if pool is None:
+        pool = _connections.pool = {}
+    conn = pool.get((scheme, netloc))
+    if conn is None:
+        conn = pool[(scheme, netloc)] = _CONNECTION_SCHEMES[scheme](netloc)
+    return conn
+
+
+def _send(
+    conn: http.client.HTTPConnection,
+    method: str,
+    target: str,
+    body: Optional[bytes],
+    headers: Dict[str, str],
+    timeout: float,
+) -> http.client.HTTPResponse:
+    """Send one request on ``conn`` and read the response head."""
+    conn.timeout = timeout  # for the socket a closed connection reopens
+    if conn.sock is not None:
+        conn.sock.settimeout(timeout)
+    conn.request(method, target, body=body, headers=headers)
+    return conn.getresponse()
 
 
 def _request(
@@ -372,27 +454,38 @@ def _request(
     payload: Optional[Dict[str, object]] = None,
     timeout: float = 30.0,
 ) -> Tuple[int, bytes, Dict[str, str]]:
-    data = None
+    """One HTTP exchange on this thread's connection to ``url``'s host.
+
+    Returns ``(status, body, lower-cased headers)`` for every status,
+    4xx and 5xx included. A reused connection found closed is replaced
+    and the request resent once; any other failure closes the
+    connection and raises.
+    """
+    scheme, netloc, target = _split_url(url)
+    body = None
     headers = {"Accept": "application/json"}
     if payload is not None:
-        data = json.dumps(payload).encode("utf-8")
+        body = json.dumps(payload).encode("utf-8")
         headers["Content-Type"] = "application/json"
-    request = urllib.request.Request(
-        url, data=data, headers=headers, method=method
-    )
+    conn = _connection(scheme, netloc)
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return (
-                response.status,
-                response.read(),
-                {k.lower(): v for k, v in response.headers.items()},
-            )
-    except urllib.error.HTTPError as exc:
-        return (
-            exc.code,
-            exc.read(),
-            {k.lower(): v for k, v in (exc.headers or {}).items()},
-        )
+        if conn.sock is None:
+            response = _send(conn, method, target, body, headers, timeout)
+        else:
+            try:
+                response = _send(conn, method, target, body, headers, timeout)
+            except _STALE_CONNECTION_ERRORS:
+                conn.close()
+                response = _send(conn, method, target, body, headers, timeout)
+        data = response.read()
+    except BaseException:
+        conn.close()
+        raise
+    return (
+        response.status,
+        data,
+        {name.lower(): value for name, value in response.getheaders()},
+    )
 
 
 def _backoff_delay(
@@ -427,8 +520,9 @@ def _retrying_request(
     A connection-level failure (refused / reset / timed out — the
     signature of a server being SIGKILLed and restarted under the
     client) or a retryable status consumes one retry and backs off;
-    anything else returns (or raises) immediately. With ``retries=0``
-    this is exactly ``_request``.
+    anything else returns (or raises) immediately. The one resend
+    `_request` makes on a reused connection the server had closed is
+    not a retry. With ``retries=0`` this is exactly ``_request``.
     """
     rng = rng if rng is not None else random.Random()
     attempt = 0
@@ -437,7 +531,7 @@ def _retrying_request(
             status, body, headers = _request(
                 method, url, payload, timeout=timeout
             )
-        except (urllib.error.URLError, ConnectionError, TimeoutError, OSError):
+        except OSError:
             if attempt >= retries:
                 raise
             time.sleep(_backoff_delay(attempt, backoff_s, None, rng))

@@ -281,11 +281,17 @@ class CampaignQueue:
         with self._lock:
             return sorted(self._jobs.values(), key=lambda job: job.id)
 
+    def __len__(self) -> int:
+        """How many jobs the queue knows, in any state."""
+        with self._lock:
+            return len(self._jobs)
+
     def counts(self) -> Dict[str, int]:
         """Job tallies by state (every state present, zero or not)."""
         out = {state: 0 for state in JOB_STATES}
-        for job in self.jobs():
-            out[job.status] = out.get(job.status, 0) + 1
+        with self._lock:
+            for job in self._jobs.values():
+                out[job.status] = out.get(job.status, 0) + 1
         return out
 
     @property

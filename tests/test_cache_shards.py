@@ -9,14 +9,17 @@ Hypothesis drives the invariants the campaign service leans on:
   exactly one shard, prefix routing is total, and a sharded cache's
   per-shard counts always sum to the whole store;
 * **Byte budget** — the hot tier's resident bytes never exceed its
-  budget, oversized values are refused, and eviction is LRU;
+  budget, oversized entries are refused, eviction is LRU, and the
+  memory the tier keeps is bounded by its budget;
 
 plus a regression test for the ``clear()``-vs-in-flight-writer
 lock-file protocol: a clear racing a writer holding the shared lock
 must not sweep the writer's staging file out from under it.
 """
 
+import gc
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +27,10 @@ from hypothesis import strategies as st
 
 from repro.analysis.engine import (
     CacheHotTier,
+    FixedBitTask,
     ResultCache,
     ShardedResultCache,
+    fixed_entry_bytes,
     shard_for_name,
 )
 
@@ -144,7 +149,7 @@ def test_hot_tier_is_never_stale_and_never_over_budget(
         if op == "store":
             path = files.write(key, size)
             signature = CacheHotTier.signature(path)
-            tier.store(str(path), signature, files.versions[key], size)
+            tier.store(str(path), signature, path.read_bytes())
             model[key] = files.versions[key]
         elif op == "overwrite":
             if key in files.versions:
@@ -153,12 +158,13 @@ def test_hot_tier_is_never_stale_and_never_over_budget(
         else:  # lookup
             if key not in files.versions:
                 continue
-            value = tier.lookup(str(files.path(key)))
-            if value is not None:
-                # Whatever it serves must be the *live* version — a
-                # stale value after an overwrite is the one forbidden
+            path = files.path(key)
+            data = tier.lookup(str(path))
+            if data is not None:
+                # Whatever it serves must be the *live* file's bytes —
+                # stale bytes after an overwrite are the one forbidden
                 # outcome.
-                assert value == files.versions[key]
+                assert data == path.read_bytes()
         assert tier.current_bytes <= budget
 
     info = tier.info()
@@ -170,9 +176,9 @@ def test_hot_tier_refuses_oversized_values(tmp_path):
     files = _Files(tmp_path)
     tier = CacheHotTier(max_bytes=10)
     path = files.write("big", 4)
-    tier.store(str(path), CacheHotTier.signature(path), "v", nbytes=11)
+    tier.store(str(path), CacheHotTier.signature(path), b"v" * 11)
     assert len(tier) == 0
-    tier.store(str(path), CacheHotTier.signature(path), "v", nbytes=10)
+    tier.store(str(path), CacheHotTier.signature(path), b"v" * 10)
     assert len(tier) == 1
 
 
@@ -185,18 +191,17 @@ def test_hot_tier_evicts_least_recently_used(tmp_path):
         tier.store(
             str(paths[key]),
             CacheHotTier.signature(paths[key]),
-            key,
-            nbytes=10,
+            key.encode() * 10,
         )
     # Touch "a" so "b" is the LRU entry.
-    assert tier.lookup(str(paths["a"])) == "a"
+    assert tier.lookup(str(paths["a"])) == b"a" * 10
     paths["c"] = files.write("c", 1)
     tier.store(
-        str(paths["c"]), CacheHotTier.signature(paths["c"]), "c", nbytes=10
+        str(paths["c"]), CacheHotTier.signature(paths["c"]), b"c" * 10
     )
-    assert tier.lookup(str(paths["a"])) == "a"
+    assert tier.lookup(str(paths["a"])) == b"a" * 10
     assert tier.lookup(str(paths["b"])) is None
-    assert tier.lookup(str(paths["c"])) == "c"
+    assert tier.lookup(str(paths["c"])) == b"c" * 10
     assert tier.info()["hot_evictions"] == 1
 
 
@@ -204,11 +209,41 @@ def test_hot_tier_lookup_after_overwrite_misses_and_drops(tmp_path):
     files = _Files(tmp_path)
     tier = CacheHotTier(max_bytes=64)
     path = files.write("k", 8)
-    tier.store(str(path), CacheHotTier.signature(path), 1, nbytes=8)
-    assert tier.lookup(str(path)) == 1
+    tier.store(str(path), CacheHotTier.signature(path), b"\x01" * 8)
+    assert tier.lookup(str(path)) == b"\x01" * 8
     files.write("k", 8)  # new inode, same path
     assert tier.lookup(str(path)) is None
     assert len(tier) == 0  # the stale entry was dropped, not retried
+
+
+def test_hot_tier_memory_is_bounded_by_its_budget(tmp_path):
+    """The budget bounds what the tier keeps, not just what it charges.
+
+    One decoded 10 s entry (two 100,000-tick schedules, ~400 KB of
+    arrays in a ~3 KB entry) goes in under many keys, then every key is
+    read back, so both fill paths run past the budget many times.
+    """
+    budget = 64 * 1024
+    result = FixedBitTask(profile_id=1, bits=8, kernel="median").run()
+    n_keys = 8 * budget // len(fixed_entry_bytes(result))
+    cache = ShardedResultCache(tmp_path / "cache", hot_bytes=budget)
+    keys = [f"{i:064x}" for i in range(n_keys)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for key in keys:
+            cache.put(key, result)
+        for key in keys:
+            assert cache.get(key) is not None
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    info = cache.info()
+    assert info["hot_evictions"] > 0
+    assert info["hot_bytes"] <= budget
+    assert kept <= 2 * budget
 
 
 # -- clear() vs in-flight writer (lock-file regression) ------------------------

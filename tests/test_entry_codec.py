@@ -1,4 +1,4 @@
-"""The cache-entry reader against ``np.load``, differentially.
+"""The cache-entry writer and reader against numpy, differentially.
 
 :func:`repro.analysis._npz.read_npz` replaces ``np.load`` on every
 cache-entry read path. It must read whatever ``np.savez`` and
@@ -8,7 +8,11 @@ the cache quarantines on that exception, so a reader that raised
 anything else, or decoded damaged bytes, would break the corruption
 guarantees of ``tests/test_cache_quarantine.py``.
 
-``np.load`` lives here only, as the oracle.
+:func:`repro.analysis._npz.write_npz` replaces ``np.savez_compressed``
+on every entry write path and must emit exactly its bytes. The golden
+digests at the end pin those bytes independently of numpy.
+
+``np.load`` and ``np.savez_compressed`` live here only, as the oracles.
 """
 
 import hashlib
@@ -27,7 +31,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.analysis import engine, telemetry
-from repro.analysis._npz import read_npz
+from repro.analysis._npz import read_npz, write_npz
 from repro.analysis.resilience import ResilienceCampaign, run_resilience_grid
 from repro.core.executive import ExecutiveResult, FrameRecord
 from repro.system.metrics import SimulationResult
@@ -135,6 +139,41 @@ def test_reader_matches_np_load(arrays, writer):
     for array in got.values():
         assert array.flags.writeable
         assert array.flags.owndata
+
+
+#: 0-d unicode scalars like the ``version`` and JSON ``scalars`` members
+#: every entry carries.
+_SCALAR_TEXT = st.text(
+    alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=40
+).map(np.array)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(arrays=st.dictionaries(_NAMES, _ARRAYS | _SCALAR_TEXT, min_size=1, max_size=4))
+def test_writer_matches_np_savez_compressed(arrays):
+    blob = write_npz(arrays)
+    assert blob == _savez_compressed(arrays)
+    _assert_same_arrays(read_npz(blob), arrays)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.asfortranarray(np.arange(6).reshape(2, 3)),
+        np.array([{"x": 1}], dtype=object),
+        np.zeros(2, dtype=[("x", "<i8")]),
+    ],
+    ids=["fortran-order", "object-dtype", "structured-dtype"],
+)
+def test_writer_refuses_what_it_would_not_reproduce(array):
+    with pytest.raises(ValueError):
+        write_npz({"a": array})
+
+
+def test_writer_writes_non_contiguous_arrays_in_c_order():
+    arrays = {"a": np.arange(24).reshape(4, 6)[::2, 1::2]}
+    assert write_npz(arrays) == _savez_compressed(arrays)
 
 
 def test_arrays_share_nothing_between_calls():

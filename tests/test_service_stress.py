@@ -23,6 +23,8 @@ import pytest
 
 from repro.analysis import engine, faults, telemetry
 from repro.analysis.engine import GridSpec, fixed_entry_bytes, run_grid
+from repro.errors import JobCancelledError
+from repro.service import queue as service_queue
 from repro.service import (
     http_cache_info,
     http_health,
@@ -32,6 +34,7 @@ from repro.service import (
     http_wait,
     start_in_thread,
 )
+from repro.service.queue import JOB_STATES, CampaignQueue
 
 pytestmark = pytest.mark.service
 
@@ -333,6 +336,36 @@ def test_close_mid_job_cancels_and_joins_workers(tmp_path):
         doc = handle.service.queue.get(job["id"])
         assert doc is not None
         assert doc.status in ("done", "cancelled")
+
+
+def test_counts_tally_every_job_in_every_state(monkeypatch):
+    """``counts()`` and ``len()`` (what ``/healthz`` and ``/metrics``
+    read) agree with a tally of the sorted ``jobs()`` listing."""
+    started = threading.Event()
+
+    def _blocking_execute(campaign, cancel_event=None):
+        started.set()
+        if cancel_event is not None and cancel_event.wait(timeout=60.0):
+            raise JobCancelledError("cancelled by close")
+        return [], {}
+
+    monkeypatch.setattr(service_queue, "execute_campaign", _blocking_execute)
+    queue = CampaignQueue(capacity=16, workers=1)
+    try:
+        jobs = [queue.submit(_grid_payload(bits=(bits,)))[0] for bits in range(1, 8)]
+        assert started.wait(timeout=30.0)  # jobs[0] runs, jobs[1] stays queued
+        for job, status in zip(
+            jobs[2:], ("done", "failed", "cancelled", "requeued", "done")
+        ):
+            job.status = status
+        tally = dict.fromkeys(JOB_STATES, 0)
+        for job in queue.jobs():
+            tally[job.status] += 1
+        assert queue.counts() == tally
+        assert tally["running"] == tally["queued"] == 1
+        assert len(queue) == len(queue.jobs()) == len(jobs)
+    finally:
+        assert queue.close() == []
 
 
 @pytest.mark.parametrize("scrape", [http_metrics, http_cache_info])
