@@ -93,12 +93,12 @@ Buffer = Union[bytes, bytearray]
 
 
 def write_npz(arrays: Mapping[str, np.ndarray]) -> bytes:
-    """The ``np.savez_compressed(buffer, **arrays)`` bytes of ``arrays``.
+    """The bytes ``np.savez_compressed`` writes for ``arrays``, given
+    as keyword arguments; members follow the mapping's order.
 
-    Members follow the mapping's order. Raises :class:`ValueError` on
-    an array whose bytes would differ from numpy's: Fortran-ordered,
-    object, structured or non-legacy dtypes, and archives too large
-    for 32-bit central-directory fields.
+    Raises :class:`ValueError` on an array whose bytes would differ
+    from numpy's: Fortran-ordered, object, structured or non-legacy
+    dtypes, and archives too large for 32-bit central-directory fields.
     """
     out = bytearray()
     central: List[bytes] = []

@@ -408,7 +408,20 @@ _CONNECTION_SCHEMES = {
     "https": http.client.HTTPSConnection,
 }
 
-#: Per thread: ``{(scheme, host:port): connection}``.
+
+class _Connections(dict):
+    """One thread's ``{(scheme, host:port): connection}``.
+
+    It goes with the thread's local storage when the thread ends, and
+    closes its sockets then rather than leaving them to the collector.
+    """
+
+    def __del__(self) -> None:
+        for conn in self.values():
+            conn.close()
+
+
+#: Per thread: a :class:`_Connections`, created on first use.
 _connections = threading.local()
 
 
@@ -425,7 +438,7 @@ def _connection(scheme: str, netloc: str) -> http.client.HTTPConnection:
     """This thread's connection to ``scheme://netloc`` (opened lazily)."""
     pool = getattr(_connections, "pool", None)
     if pool is None:
-        pool = _connections.pool = {}
+        pool = _connections.pool = _Connections()
     conn = pool.get((scheme, netloc))
     if conn is None:
         conn = pool[(scheme, netloc)] = _CONNECTION_SCHEMES[scheme](netloc)
@@ -468,15 +481,15 @@ def _request(
         body = json.dumps(payload).encode("utf-8")
         headers["Content-Type"] = "application/json"
     conn = _connection(scheme, netloc)
+    reused = conn.sock is not None
     try:
-        if conn.sock is None:
+        try:
             response = _send(conn, method, target, body, headers, timeout)
-        else:
-            try:
-                response = _send(conn, method, target, body, headers, timeout)
-            except _STALE_CONNECTION_ERRORS:
-                conn.close()
-                response = _send(conn, method, target, body, headers, timeout)
+        except _STALE_CONNECTION_ERRORS:
+            if not reused:
+                raise
+            conn.close()
+            response = _send(conn, method, target, body, headers, timeout)
         data = response.read()
     except BaseException:
         conn.close()
