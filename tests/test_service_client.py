@@ -9,8 +9,8 @@ charged retry would raise.
 """
 
 import http.client
+import select
 import threading
-import time
 
 import pytest
 
@@ -140,7 +140,10 @@ def test_idle_connection_closed_by_the_server_is_replaced(
 
     def calls(base_url):
         http_health(base_url)
-        time.sleep(0.6)  # the server drops the idle connection
+        conn = protocol._connection("http", base_url[len("http://"):])
+        # The server drops the idle connection: its FIN makes the
+        # client's socket readable.
+        assert select.select([conn.sock], [], [], 30.0)[0]
         return http_health(base_url, retries=0)
 
     assert _in_thread(calls, service.base_url)["status"] == "ok"
@@ -152,19 +155,19 @@ def test_restart_on_the_same_port_is_replaced(tmp_path, connects):
     port = first.port
     restarted = None
     try:
-        submitted = threading.Event()
+        connected = threading.Event()
         restarted_up = threading.Event()
         outcome = []
 
         def client():
             http_health(first.base_url)
-            submitted.set()
+            connected.set()
             assert restarted_up.wait(timeout=60)
             outcome.append(_round_trip(first.base_url))
 
         thread = threading.Thread(target=client)
         thread.start()
-        assert submitted.wait(timeout=60)
+        assert connected.wait(timeout=60)
         first.close()
         restarted = start_in_thread(tmp_path / "cache", workers=1, port=port)
         restarted_up.set()
