@@ -25,9 +25,9 @@ place that executes those sweeps:
   shortcut, and :func:`run_on_trace` / :func:`run_executive_on_trace`
   run caller-supplied traces through the same robust core;
 * :class:`ResultCache` is a content-addressed on-disk store with one
-  kind-parameterised ``get``/``put``. Reads and memo hits hand out
-  **defensive copies**, so a caller mutating ``result.bit_schedule``
-  can never poison a later run.
+  kind-parameterised ``get``/``put``. Every read decodes fresh values
+  and memo hits hand out **defensive copies**, so a caller mutating
+  ``result.bit_schedule`` can never poison a later run.
 
 Simulations go through the bit-exact C replay kernels by default
 (``engine="auto"``): a grid as batch plans, a single task as a
