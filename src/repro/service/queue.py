@@ -156,6 +156,12 @@ class CampaignQueue:
         self.metrics = MetricsRegistry()
         self._pending: "_queue.Queue[Optional[Job]]" = _queue.Queue()
         self._jobs: Dict[str, Job] = {}
+        #: The jobs that may still be queued or running, by id. A job
+        #: is queued only when it is created and runs only from queued,
+        #: so it enters here then; :meth:`submit` drops those that have
+        #: left. Admission visits these, not every job ever submitted,
+        #: and so costs the same however long the service has run.
+        self._live: Dict[str, Job] = {}
         self._lock = threading.Lock()
         self._flights: Dict[str, threading.Lock] = {}
         self._closed = False
@@ -209,7 +215,7 @@ class CampaignQueue:
                 signature=campaign.signature(),
                 recovered=True,
             )
-            self._jobs[job.id] = job
+            self._jobs[job.id] = self._live[job.id] = job
             jobs.append(job)
             self.journal.stats.recovered += 1
             self.journal.append("requeued", job.id)
@@ -238,19 +244,15 @@ class CampaignQueue:
                 )
             if self._closed:
                 raise QueueFullError("campaign queue is shut down")
-            for existing in self._jobs.values():
-                if (
-                    existing.recovered
-                    and existing.signature == signature
-                    and existing.status in ACTIVE_STATES
-                ):
-                    return existing, False
-            active = sum(
-                1
-                for job in self._jobs.values()
+            self._live = {
+                job_id: job
+                for job_id, job in self._live.items()
                 if job.status in ACTIVE_STATES
-            )
-            if active >= self.capacity:
+            }
+            for existing in self._live.values():
+                if existing.recovered and existing.signature == signature:
+                    return existing, False
+            if len(self._live) >= self.capacity:
                 raise QueueFullError(
                     f"campaign queue at capacity ({self.capacity} active jobs)"
                 )
@@ -259,7 +261,7 @@ class CampaignQueue:
                 campaign=campaign,
                 signature=signature,
             )
-            self._jobs[job.id] = job
+            self._jobs[job.id] = self._live[job.id] = job
         # Journal *before* enqueueing: a crash between the append and
         # the put loses only in-memory state the replay rebuilds.
         if self.journal is not None:

@@ -368,6 +368,29 @@ def test_counts_tally_every_job_in_every_state(monkeypatch):
         assert queue.close() == []
 
 
+def test_admission_visits_only_live_jobs(monkeypatch):
+    """``submit`` checks capacity against the queued and running jobs
+    it tracks, not by scanning every job ever submitted: finished jobs
+    leave the tracked set, so admission does not slow down with uptime,
+    and a capacity-2 queue keeps admitting after 40 finished jobs."""
+    monkeypatch.setattr(
+        service_queue, "execute_campaign", lambda campaign, cancel_event=None: ([], {})
+    )
+    queue = CampaignQueue(capacity=2, workers=1)
+    try:
+        for _ in range(40):
+            job, created = queue.submit(_grid_payload(bits=(3,)))
+            assert created
+            assert job.done_event.wait(timeout=30.0)
+        assert queue.counts()["done"] == 40
+        job, created = queue.submit(_grid_payload(bits=(3,)))
+        assert created
+        assert list(queue._live) == [job.id]
+        assert job.done_event.wait(timeout=30.0)
+    finally:
+        assert queue.close() == []
+
+
 @pytest.mark.parametrize("scrape", [http_metrics, http_cache_info])
 def test_scrapes_do_not_stall_the_event_loop(service, monkeypatch, scrape):
     """``/metrics`` and ``/cache`` walk the whole cache through
