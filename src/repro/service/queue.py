@@ -159,8 +159,8 @@ class CampaignQueue:
         #: The jobs that may still be queued or running, by id. A job
         #: is queued only when it is created and runs only from queued,
         #: so it enters here then; :meth:`submit` drops those that have
-        #: left. Admission visits these, not every job ever submitted,
-        #: and so costs the same however long the service has run.
+        #: left and admits against the rest, so admission costs the
+        #: same however long the service has run.
         self._live: Dict[str, Job] = {}
         self._lock = threading.Lock()
         self._flights: Dict[str, threading.Lock] = {}

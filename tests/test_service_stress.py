@@ -370,9 +370,9 @@ def test_counts_tally_every_job_in_every_state(monkeypatch):
 
 def test_admission_visits_only_live_jobs(monkeypatch):
     """``submit`` checks capacity against the queued and running jobs
-    it tracks, not by scanning every job ever submitted: finished jobs
-    leave the tracked set, so admission does not slow down with uptime,
-    and a capacity-2 queue keeps admitting after 40 finished jobs."""
+    it tracks; finished jobs leave that set, so admission does not slow
+    down with uptime, and a capacity-2 queue keeps admitting after 40
+    finished jobs."""
     monkeypatch.setattr(
         service_queue, "execute_campaign", lambda campaign, cancel_event=None: ([], {})
     )
