@@ -1,5 +1,9 @@
 """Tests for the regime-switching harvester models."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,7 @@ from repro.energy.harvester import (
     ThermalHarvester,
     WristwatchRingHarvester,
 )
+from repro.energy.traces import STANDARD_PROFILE_IDS, standard_profile
 from repro.errors import ConfigurationError
 
 
@@ -103,3 +108,58 @@ class TestSourceCharacters:
     def test_overrides_apply(self):
         model = WristwatchRingHarvester(burst_median_uw=999.0)
         assert model.burst_median_uw == 999.0
+
+
+#: sha256 of the generated samples' bytes per golden case.
+_GOLDEN_SHA256 = json.loads(
+    (Path(__file__).with_name("golden") / "harvester_traces.json").read_text()
+)
+
+_FACTORIES = {
+    "wristwatch": WristwatchRingHarvester,
+    "solar": SolarHarvester,
+    "rf": RFHarvester,
+    "thermal": ThermalHarvester,
+}
+
+#: ``(source, seed) -> length`` at which the trace ends halfway through
+#: its third burst of four or more ticks, so the final burst's envelope
+#: is cut short.
+_TRUNCATING_LENGTHS = {
+    ("wristwatch", 0): 1986,
+    ("wristwatch", 2026): 1686,
+    ("solar", 0): 1581,
+    ("solar", 2026): 1744,
+    ("rf", 0): 150,
+    ("rf", 2026): 144,
+    ("thermal", 0): 1537,
+    ("thermal", 2026): 578,
+}
+
+
+def _golden_cases():
+    cases = [f"profile/{pid}/{d}" for pid in STANDARD_PROFILE_IDS for d in (10.0, 0.5)]
+    for (source, seed), truncating in sorted(_TRUNCATING_LENGTHS.items()):
+        cases += [f"{source}/{seed}/{n}" for n in (10_000, truncating)]
+    return cases
+
+
+class TestGoldenBytes:
+    """Every sample of the standard profiles and of each source is
+    pinned byte for byte: a faster generator must reproduce these
+    digests exactly."""
+
+    @pytest.mark.parametrize("case", _golden_cases())
+    def test_golden_sha256(self, case):
+        source, a, b = case.split("/")
+        if source == "profile":
+            samples = standard_profile(int(a), float(b)).samples_uw
+        else:
+            samples = _FACTORIES[source]().generate(
+                int(b), np.random.default_rng(int(a))
+            )
+        digest = hashlib.sha256(samples.tobytes()).hexdigest()
+        assert digest == _GOLDEN_SHA256[case]
+
+    def test_golden_manifest_matches_cases(self):
+        assert sorted(_GOLDEN_SHA256) == sorted(_golden_cases())
