@@ -25,9 +25,12 @@ place that executes those sweeps:
   shortcut, and :func:`run_on_trace` / :func:`run_executive_on_trace`
   run caller-supplied traces through the same robust core;
 * :class:`ResultCache` is a content-addressed on-disk store with one
-  kind-parameterised ``get``/``put``. Every read decodes fresh values
-  and memo hits hand out **defensive copies**, so a caller mutating
-  ``result.bit_schedule`` can never poison a later run.
+  kind-parameterised ``get``/``put``. Every value read decodes fresh
+  values and memo hits hand out **defensive copies**, so a caller
+  mutating ``result.bit_schedule`` can never poison a later run. A
+  caller that only forwards entries (the campaign service) asks
+  ``run_tasks(..., entries=True)`` for the stored bytes instead, and a
+  hot-tier hit is then never decoded.
 
 Simulations go through the bit-exact C replay kernels by default
 (``engine="auto"``): a grid as batch plans, a single task as a
@@ -180,6 +183,20 @@ _POLICY_CHOICES = ("precise",) + tuple(STANDARD_POLICY_NAMES)
 # -- tasks and grids ----------------------------------------------------------
 
 
+def _content_key(task, extra: Dict[str, str]) -> str:
+    """sha256 of a task's fields plus ``extra`` as sorted-key JSON.
+
+    Every field of the tasks that use it is a scalar, so the payload is
+    the dict ``dataclasses.asdict`` builds, without its recursive deep
+    copy (which cost more than the hash).
+    """
+    payload = {f.name: getattr(task, f.name) for f in dataclasses.fields(task)}
+    payload.update(extra)
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode("utf-8")
+    ).hexdigest()
+
+
 @dataclass(frozen=True)
 class FixedBitTask:
     """One fixed-bit system simulation, as a hashable value object.
@@ -209,11 +226,7 @@ class FixedBitTask:
 
     def cache_key(self) -> str:
         """Content hash of the task config, trace seed and code version."""
-        payload = dataclasses.asdict(self)
-        payload["__engine__"] = ENGINE_CACHE_VERSION
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode("utf-8")
-        ).hexdigest()
+        return _content_key(self, {"__engine__": ENGINE_CACHE_VERSION})
 
     def build_trace(self) -> PowerTrace:
         """Materialise the task's power trace (deterministic)."""
@@ -841,8 +854,9 @@ class CacheHotTier:
     ``kind.decode``), so it is checked once, when it is filled. The
     budget charges ``len(data)``, which is what the tier holds: it
     bounds the tier's memory up to per-entry bookkeeping. A hit hands
-    the bytes back; the cache decodes them into fresh values and the
-    campaign service streams them as they are. Thread-safe.
+    the bytes back; the cache decodes them into fresh values, or, for
+    ``get(..., entry=True)``, returns them as they are for the campaign
+    service to stream. Thread-safe.
     """
 
     def __init__(self, max_bytes: int) -> None:
@@ -952,8 +966,8 @@ class ResultCache:
     prefix and the task's ``cache_key()`` (config + trace seed + code
     version); the code version is *also* embedded in the payload and
     checked on load. Writes are atomic (temp file + ``os.replace``),
-    and every load rebuilds fresh arrays — cache hits can never alias
-    a caller's mutation.
+    and every value load rebuilds fresh arrays — cache hits can never
+    alias a caller's mutation.
 
     The store is safe under concurrent writers: in-flight temp files
     carry a ``.npz.tmp`` suffix precisely so no ``*.npz`` scan
@@ -1206,7 +1220,9 @@ class ResultCache:
             st = os.fstat(handle.fileno())
             return handle.read(), (st.st_ino, st.st_mtime_ns, st.st_size)
 
-    def get(self, key: str, kind: TaskKind = FIXED) -> Optional[object]:
+    def get(
+        self, key: str, kind: TaskKind = FIXED, entry: bool = False
+    ) -> Optional[object]:
         """Load the ``kind`` entry for ``key``; ``None`` (a miss) if absent.
 
         A present entry that ``kind.decode`` cannot trust is
@@ -1214,13 +1230,19 @@ class ResultCache:
         and decodes the held bytes (still counted in ``hits``); a disk
         read that decodes fills the hot tier with the file's bytes.
         Every hit decodes fresh values, so no two callers share one.
+
+        ``entry=True`` returns the entry's bytes instead of its value:
+        a hot-tier hit returns the held bytes undecoded (they were
+        checked when they entered the tier), and a disk hit returns the
+        file's bytes once ``kind.decode`` has accepted them, with the
+        same quarantine, hot-tier fill and counters.
         """
         path = self._path(key, kind)
         if self.hot is not None:
             held = self.hot.lookup(path)
             if held is not None:
                 self.hits += 1
-                return kind.decode(held)
+                return held if entry else kind.decode(held)
         try:
             data, signature = self._read_entry(path)
             value = kind.decode(data)
@@ -1234,15 +1256,17 @@ class ResultCache:
         if self.hot is not None:
             self.hot.store(path, signature, data)
         self.hits += 1
-        return value
+        return data if entry else value
 
-    def put(self, key: str, result: object, kind: TaskKind = FIXED) -> None:
-        """Atomically store ``result`` as the ``kind`` entry for ``key``."""
+    def put(self, key: str, result: object, kind: TaskKind = FIXED) -> bytes:
+        """Atomically store ``result`` as the ``kind`` entry for ``key``;
+        returns the entry bytes written."""
         data = kind.encode(result)
         path = self._path(key, kind)
         signature = self._write_entry(path, data)
         if self.hot is not None:
             self.hot.store(path, signature, data)
+        return data
 
     def held_bytes(self, key: str, kind: TaskKind = FIXED) -> Optional[bytes]:
         """The bytes the hot tier holds for the ``kind`` entry ``key``.
@@ -1261,9 +1285,9 @@ class ResultCache:
         """``get(key, EXECUTIVE)``."""
         return self.get(key, EXECUTIVE)
 
-    def put_executive(self, key: str, result: ExecutiveResult) -> None:
+    def put_executive(self, key: str, result: ExecutiveResult) -> bytes:
         """``put(key, result, EXECUTIVE)``."""
-        self.put(key, result, EXECUTIVE)
+        return self.put(key, result, EXECUTIVE)
 
     def verify(self) -> Dict[str, int]:
         """Scan every entry, quarantining the unreadable ones.
@@ -2077,6 +2101,7 @@ def run_tasks(
     task_timeout_s: Optional[float] = None,
     retries: Optional[int] = None,
     retry_backoff_s: Optional[float] = None,
+    entries: bool = False,
 ) -> Tuple:
     """Run every task of one ``kind``; results come back in task order.
 
@@ -2104,13 +2129,20 @@ def run_tasks(
     re-run identically, so any worker count, tier or recovery produces
     the identical results. With the memo on, callers get ``kind.copy``
     copies and the memo keeps the pristine values.
+
+    ``entries=True`` returns each task's entry bytes instead of its
+    value, through the same tiers, retries, write-back and report: a
+    cache hit is ``cache.get(..., entry=True)``, so a hot-tier hit is
+    never decoded, and a computed result is the bytes ``put`` wrote
+    (``kind.encode`` of it with caching off). The memo holds values,
+    so this mode neither reads nor fills it.
     """
     tasks = tuple(tasks)
     settings = _resolve_robustness(
         workers, task_timeout_s, retries, retry_backoff_s
     )
     use_cache = bool(_CONFIG["use_cache"])
-    use_memo = use_cache and bool(_CONFIG["use_memo"])
+    use_memo = use_cache and bool(_CONFIG["use_memo"]) and not entries
     if cache is None and use_cache:
         cache = default_cache()
     elif not use_cache:
@@ -2128,7 +2160,7 @@ def run_tasks(
         hit = _MEMO.get(kind.prefix + key) if use_memo else None
         status = "memo-hit"
         if hit is None and cache is not None:
-            hit = cache.get(key, kind)
+            hit = cache.get(key, kind, entry=entries)
             status = "cache-hit"
         if hit is not None:
             results[index] = hit
@@ -2169,14 +2201,20 @@ def run_tasks(
                 results.update(computed)
             if cache is not None:
                 for index in pending:
-                    cache.put(keys[index], results[index], kind)
+                    data = cache.put(keys[index], results[index], kind)
+                    if entries:
+                        results[index] = data
+            elif entries:
+                for index in pending:
+                    results[index] = kind.encode(results[index])
     finally:
         report.wall_s = time.perf_counter() - start
         telemetry.record(report)
 
     ordered = tuple(results[index] for index in range(len(tasks)))
     if not use_memo:
-        # Cache reads and computations already hand out fresh values.
+        # Cache reads and computations already hand out fresh values
+        # (or immutable entry bytes).
         return ordered
     for key, result in zip(keys, ordered):
         _MEMO.setdefault(kind.prefix + key, result)
@@ -2458,12 +2496,9 @@ class ExecutiveTask(_ExecutiveConfigMixin):
 
     def cache_key(self) -> str:
         """Content hash of the full executive config and code version."""
-        payload = dataclasses.asdict(self)
-        payload["__engine__"] = ENGINE_CACHE_VERSION
-        payload["__task__"] = "executive"
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode("utf-8")
-        ).hexdigest()
+        return _content_key(
+            self, {"__engine__": ENGINE_CACHE_VERSION, "__task__": "executive"}
+        )
 
     def build_trace(self) -> PowerTrace:
         """Materialise the task's power trace (deterministic)."""

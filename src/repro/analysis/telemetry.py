@@ -22,6 +22,7 @@ requested it.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import os
@@ -129,19 +130,34 @@ class RunReport:
             self.computed += 1
 
     def to_dict(self, include_tasks: bool = False) -> Dict[str, object]:
-        out = dataclasses.asdict(self)
-        if not include_tasks:
-            out.pop("tasks")
-        if not out.get("device_metrics"):
-            out.pop("device_metrics", None)
-        if not out.get("job"):
-            out.pop("job", None)
+        """The ``run`` event: every field in declaration order, less the
+        tasks (unless asked for), an empty ``device_metrics`` and an
+        empty ``job``.
+
+        Built field by field: every other field is a scalar, so only
+        ``device_metrics`` and the tasks are copied, and tasks left out
+        are never copied at all.
+        """
+        out = {f.name: getattr(self, f.name) for f in _RUN_REPORT_FIELDS}
+        if include_tasks:
+            out["tasks"] = [dataclasses.asdict(task) for task in self.tasks]
+        else:
+            del out["tasks"]
+        if self.device_metrics:
+            out["device_metrics"] = copy.deepcopy(self.device_metrics)
+        else:
+            del out["device_metrics"]
+        if not self.job:
+            del out["job"]
         return out
 
     @property
     def worker_failures(self) -> int:
         """Everything a worker did wrong: crashes, hangs, bad payloads."""
         return self.crashes + self.timeouts + self.corrupt_payloads
+
+
+_RUN_REPORT_FIELDS = dataclasses.fields(RunReport)
 
 
 # -- module state --------------------------------------------------------------

@@ -18,6 +18,7 @@ NVP platform behind front ends with different statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Dict
 
 import numpy as np
 
@@ -104,6 +105,9 @@ class HarvesterModel:
         if n_samples <= 0:
             return np.zeros(0, dtype=np.float64)
         out = np.empty(n_samples, dtype=np.float64)
+        # A burst's envelope depends only on its length, and a trace's
+        # thousands of bursts come in a few dozen lengths.
+        envelopes: Dict[int, np.ndarray] = {}
         pos = 0
         regime = _QUIET
         while pos < n_samples:
@@ -124,7 +128,11 @@ class HarvesterModel:
                 )
                 # A burst has an envelope: ramps up then decays, like the
                 # mechanical pluck events of the rotational harvester.
-                envelope = np.sin(np.linspace(0.15, np.pi - 0.15, length)) ** 0.5
+                envelope = envelopes.get(length)
+                if envelope is None:
+                    envelope = envelopes[length] = (
+                        np.sin(np.linspace(0.15, np.pi - 0.15, length)) ** 0.5
+                    )
                 jitter = rng.lognormal(0.0, self.jitter_sigma, size=length)
                 samples = amplitude * envelope * jitter
                 next_regime = (

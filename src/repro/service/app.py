@@ -105,6 +105,39 @@ def create_service(
     )
 
 
+def _resolve(future: "asyncio.Future") -> None:
+    if not future.done():
+        future.set_result(None)
+
+
+async def _wait_until_done(job, timeout_s: float) -> None:
+    """Wait on the event loop until ``job`` is done or ``timeout_s`` passes.
+
+    A long-poll holds no thread: the job's completion wakes it through
+    ``call_soon_threadsafe``, so the loop's pool threads stay free for
+    submissions and scrapes however many polls are pending. A job that
+    is already done returns at once; a poll that times out (or is
+    cancelled) unregisters its callback.
+    """
+    loop = asyncio.get_running_loop()
+    done = loop.create_future()
+
+    def wake() -> None:
+        try:
+            loop.call_soon_threadsafe(_resolve, done)
+        except RuntimeError:  # the loop closed before the job finished
+            pass
+
+    if not job.add_done_callback(wake):
+        return
+    try:
+        await asyncio.wait_for(done, timeout_s)
+    except asyncio.TimeoutError:
+        pass
+    finally:
+        job.remove_done_callback(wake)
+
+
 class CampaignService:
     """HTTP front end over a :class:`CampaignQueue` and a shared cache."""
 
@@ -361,10 +394,7 @@ class CampaignService:
                             None,
                         )
                     if wait_s:
-                        # Block on a pool thread, never the event loop.
-                        await asyncio.get_running_loop().run_in_executor(
-                            None, job.done_event.wait, wait_s
-                        )
+                        await _wait_until_done(job, wait_s)
                 return 200, job.to_dict(), None, None
             if not tail and method == "DELETE":
                 self.queue.cancel(job_id)

@@ -16,9 +16,11 @@ the door, never a failed job.
 
 Results stream back as JSONL, one line per task in deterministic task
 order. Array-carrying results (grid / executive / fleet) travel as
-base64 of their cache entry: the bytes the cache's hot tier holds for
-the entry (what the cache just wrote or just read and checked), or,
-where it holds none, the *same* entry codec the on-disk cache uses
+base64 of their cache entry: the bytes the engine's task pipeline
+returns for grid and executive tasks (what the hot tier holds, what a
+disk read just checked or what ``put`` just wrote), and for fleet
+devices the bytes the hot tier holds; where there are none, the
+*same* entry codec the on-disk cache uses
 (:func:`repro.analysis.engine.fixed_entry_bytes` et al.) — so the
 bytes a client receives are, by construction, byte-identical to the
 ``.npz`` file a direct run writes into the cache. Resilience points
@@ -38,7 +40,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import telemetry
 from ..analysis.engine import (
@@ -47,11 +49,17 @@ from ..analysis.engine import (
     ExecutiveTask,
     FixedBitTask,
     GridSpec,
-    TaskKind,
     cancel_scope,
     default_cache,
-    executive_entry_bytes,
     fixed_entry_bytes,
+    run_tasks,
+)
+
+# Bound here for the benchmark suite, which wraps each name in the
+# module its callers resolve it in (benchmarks/suite/spans.py); this
+# module no longer calls them.
+from ..analysis.engine import (  # noqa: F401
+    executive_entry_bytes,
     run_executive_grid,
     run_grid,
 )
@@ -249,28 +257,33 @@ def _entry_line(index: int, name: str, data: bytes) -> str:
     )
 
 
-def _entry_lines(
-    tasks: Sequence,
-    results: Sequence,
-    kind: TaskKind,
-    encode: Callable[[object], bytes],
-) -> List[str]:
-    """One ``task`` line per result, in task order.
+def _entry_lines(named: Sequence[Tuple[str, bytes]]) -> List[str]:
+    """One ``task`` line per ``(entry name, entry bytes)``, in order."""
+    return [
+        _entry_line(index, name, data)
+        for index, (name, data) in enumerate(named)
+    ]
 
-    Each line carries the bytes the cache's hot tier holds for the
-    entry, so a hit is never re-encoded; ``encode`` runs only for the
+
+def _held_fleet_entries(
+    tasks: Sequence, results: Sequence
+) -> List[Tuple[str, bytes]]:
+    """``(entry name, entry bytes)`` per fleet device, in task order.
+
+    The bytes are those the cache's hot tier holds for the entry, so a
+    hit is never re-encoded; ``fixed_entry_bytes`` runs only for the
     entries it does not hold (no cache or hot tier, evicted, or the
     file replaced since).
     """
     cache = default_cache()
-    lines = []
-    for index, (task, result) in enumerate(zip(tasks, results)):
+    named = []
+    for task, result in zip(tasks, results):
         key = task.cache_key()
-        data = cache.held_bytes(key, kind) if cache is not None else None
+        data = cache.held_bytes(key, FIXED) if cache is not None else None
         if data is None:
-            data = encode(result)
-        lines.append(_entry_line(index, f"{kind.prefix}{key}.npz", data))
-    return lines
+            data = fixed_entry_bytes(result)
+        named.append((f"{FIXED.prefix}{key}.npz", data))
+    return named
 
 
 def execute_campaign(
@@ -283,6 +296,12 @@ def execute_campaign(
     budgets) and the engine's own tier choice exactly like a direct
     :func:`run_grid` call would — that is the whole point: the service
     path adds transport, never semantics.
+
+    Grid and executive campaigns ask :func:`run_tasks` for entry bytes,
+    not values: a warm job streams the bytes the hot tier holds (or a
+    disk read checked) without decoding them, and a cold job streams
+    the bytes ``put`` just wrote. Fleet campaigns need values for their
+    summary, so they run :func:`run_fleet` and stream the held bytes.
     A set ``cancel_event`` aborts between engine waves/tasks with
     :class:`~repro.errors.JobCancelledError`.
     """
@@ -292,17 +311,16 @@ def execute_campaign(
     if scope is not None:
         scope.__enter__()
     try:
-        # The encoders are looked up here, at call time, so a wrapper
-        # installed on this module's names sees every encode.
-        if campaign.kind == "grid":
-            grid = run_grid(campaign.tasks, engine=campaign.engine)
-            lines += _entry_lines(
-                grid.tasks, grid.results, FIXED, fixed_entry_bytes
+        if campaign.kind in ("grid", "executive"):
+            kind = FIXED if campaign.kind == "grid" else EXECUTIVE
+            entries = run_tasks(
+                campaign.tasks, kind, engine=campaign.engine, entries=True
             )
-        elif campaign.kind == "executive":
-            grid = run_executive_grid(campaign.tasks, engine=campaign.engine)
             lines += _entry_lines(
-                grid.tasks, grid.results, EXECUTIVE, executive_entry_bytes
+                [
+                    (f"{kind.prefix}{task.cache_key()}.npz", data)
+                    for task, data in zip(campaign.tasks, entries)
+                ]
             )
         elif campaign.kind == "resilience":
             points = run_resilience_grid(campaign.tasks, engine=campaign.engine)
@@ -317,8 +335,7 @@ def execute_campaign(
             assert campaign.fleet is not None
             fleet_result = run_fleet(campaign.fleet, engine=campaign.engine)
             lines += _entry_lines(
-                fleet_result.tasks, fleet_result.results, FIXED,
-                fixed_entry_bytes,
+                _held_fleet_entries(fleet_result.tasks, fleet_result.results)
             )
             summary["fleet"] = {
                 "n_devices": len(fleet_result.tasks),

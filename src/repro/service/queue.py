@@ -53,7 +53,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analysis import telemetry
 from ..errors import (
@@ -106,6 +106,37 @@ class Job:
     runtable_csv: Optional[bytes] = None
     cancel_event: threading.Event = field(default_factory=threading.Event)
     done_event: threading.Event = field(default_factory=threading.Event)
+    #: Callbacks :meth:`mark_done` runs once (long-polls waiting on the
+    #: event loop), guarded with ``done_event`` by ``_done_lock``.
+    _done_callbacks: List[Callable[[], None]] = field(
+        default_factory=list, init=False, repr=False
+    )
+    _done_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False
+    )
+
+    def mark_done(self) -> None:
+        """Set ``done_event`` and run every registered callback once."""
+        with self._done_lock:
+            self.done_event.set()
+            callbacks, self._done_callbacks = self._done_callbacks, []
+        for callback in callbacks:
+            callback()
+
+    def add_done_callback(self, callback: Callable[[], None]) -> bool:
+        """Have :meth:`mark_done` call ``callback`` from the finishing
+        thread; ``False`` (nothing registered) if the job is done."""
+        with self._done_lock:
+            if self.done_event.is_set():
+                return False
+            self._done_callbacks.append(callback)
+            return True
+
+    def remove_done_callback(self, callback: Callable[[], None]) -> None:
+        """Unregister ``callback`` if :meth:`mark_done` has not run it."""
+        with self._done_lock:
+            if callback in self._done_callbacks:
+                self._done_callbacks.remove(callback)
 
     def to_dict(self) -> Dict[str, object]:
         """The ``GET /jobs/<id>`` status document."""
@@ -317,7 +348,7 @@ class CampaignQueue:
             if job.status == "queued":
                 job.status = "cancelled"
                 job.finished_at = time.time()
-                job.done_event.set()
+                job.mark_done()
                 if self.journal is not None:
                     self.journal.append("cancelled", job.id)
         return job
@@ -427,7 +458,7 @@ class CampaignQueue:
                         job.finished_at = time.time()
                         if self.journal is not None:
                             self.journal.append("cancelled", job.id)
-                        job.done_event.set()
+                        job.mark_done()
                     continue
                 job.status = "running"
                 job.started_at = time.time()
@@ -442,7 +473,7 @@ class CampaignQueue:
                     job.error = traceback.format_exc(limit=3)
                     job.finished_at = time.time()
                 self._finalize(job, "failed")
-                job.done_event.set()
+                job.mark_done()
 
     def _execute(self, job: Job) -> None:
         reports: List[telemetry.RunReport] = []
@@ -487,7 +518,7 @@ class CampaignQueue:
                 if report.device_metrics:
                     self.metrics.merge_dict(report.device_metrics)
         self._finalize(job, status)
-        job.done_event.set()
+        job.mark_done()
 
     def _finalize(self, job: Job, status: str) -> None:
         """Durably record a job's exit from the running state."""

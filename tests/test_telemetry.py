@@ -1,5 +1,6 @@
 """Telemetry: RunReport aggregation, JSONL event log, context labels."""
 
+import dataclasses
 import json
 
 import pytest
@@ -51,6 +52,51 @@ def test_to_dict_excludes_tasks_by_default():
     assert "tasks" not in report.to_dict()
     with_tasks = report.to_dict(include_tasks=True)
     assert with_tasks["tasks"][0]["index"] == 0
+
+
+def _asdict_oracle(report, include_tasks=False):
+    """What ``RunReport.to_dict`` returned when it deep-copied the
+    whole report with ``dataclasses.asdict``."""
+    out = dataclasses.asdict(report)
+    if not include_tasks:
+        out.pop("tasks")
+    if not out.get("device_metrics"):
+        out.pop("device_metrics", None)
+    if not out.get("job"):
+        out.pop("job", None)
+    return out
+
+
+def _oracle_reports():
+    bare = telemetry.RunReport(kind="fixed")
+    full = telemetry.RunReport(
+        kind="executive", context="fig24", job="job-000007", workers=2
+    )
+    full.merge_task(telemetry.TaskTelemetry(index=0, status="cache-hit"))
+    full.merge_task(
+        telemetry.TaskTelemetry(
+            index=1,
+            retries=1,
+            metrics={"counters": {"backups": 3}, "histograms": {"h": [1, 2]}},
+        )
+    )
+    full.device_metrics = {"counters": {"backups": 3}, "gauges": {"g": [0.5]}}
+    full.degraded = True
+    full.wall_s = 0.25
+    return [bare, full]
+
+
+@pytest.mark.parametrize("include_tasks", [False, True])
+def test_to_dict_equals_the_asdict_form_and_is_a_copy(include_tasks):
+    for report in _oracle_reports():
+        expected = _asdict_oracle(report, include_tasks)
+        out = report.to_dict(include_tasks=include_tasks)
+        assert list(out.items()) == list(expected.items())
+        for task in out.get("tasks", []):
+            task["metrics"]["counters"] = {}
+        for value in out.get("device_metrics", {}).values():
+            value.clear()
+        assert report.to_dict(include_tasks=include_tasks) == expected
 
 
 def test_history_is_bounded_and_last_report_filters():
