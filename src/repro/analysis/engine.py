@@ -1229,7 +1229,8 @@ class ResultCache:
         quarantined and reads as a miss. A hot-tier hit skips the disk
         and decodes the held bytes (still counted in ``hits``); a disk
         read that decodes fills the hot tier with the file's bytes.
-        Every hit decodes fresh values, so no two callers share one.
+        Every value hit decodes fresh values, so no two callers share
+        one.
 
         ``entry=True`` returns the entry's bytes instead of its value:
         a hot-tier hit returns the held bytes undecoded (they were
