@@ -192,7 +192,7 @@ def run_benchmark(workers: int, quick: bool) -> dict:
         if quality_cold != quality_warm:
             raise AssertionError("memoised quality replay diverged")
 
-        # Warm rerun: in-process memo dropped, every result served from
+        # Warm rerun: quality memo dropped, every result served from
         # the content-addressed on-disk cache.
         engine.clear_memory_cache()
         t0 = time.perf_counter()

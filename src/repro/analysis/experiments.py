@@ -101,10 +101,10 @@ def _artifact(label: str):
 # -- shared, cached building blocks -------------------------------------------
 #
 # All fixed-bit simulation and trace reuse is delegated to
-# ``repro.analysis.engine`` (in-process memo + optional on-disk result
-# cache). The engine hands out defensive copies, so — unlike the
-# ``lru_cache`` layers this replaced — a runner mutating a result's
-# arrays cannot poison later experiments.
+# ``repro.analysis.engine`` (the optional on-disk result cache). Every
+# result it hands out owns its arrays, computed or freshly decoded, so
+# — unlike the ``lru_cache`` layers this replaced — a runner mutating a
+# result's arrays cannot poison later experiments.
 
 
 def _trace(profile_id: int, duration_s: float) -> PowerTrace:
@@ -112,7 +112,7 @@ def _trace(profile_id: int, duration_s: float) -> PowerTrace:
 
 
 def _fixed_run(profile_id: int, duration_s: float, bits: int, policy_name: str, kernel: str):
-    """Cached fixed-bit system simulation (returns a fresh copy)."""
+    """Cached fixed-bit system simulation (returns fresh values)."""
     return engine.cached_fixed_run(
         engine.FixedBitTask(
             profile_id=profile_id,

@@ -7,7 +7,7 @@ and every detection/fallback counter of the hardened restore path.
 Points are small JSON summaries, cached content-addressed next to the
 fixed/executive entries (``res-`` filename prefix) and executed through
 the engine's one task pipeline (:func:`repro.analysis.engine.run_tasks`
-with the :data:`~repro.analysis.engine.RESILIENCE` kind: memo, cache,
+with the :data:`~repro.analysis.engine.RESILIENCE` kind: cache,
 retries, timeouts, pool degradation, telemetry), so a cached campaign
 replays the same fallback counts and quality scores bit-for-bit.
 
@@ -291,7 +291,7 @@ def run_resilience_grid(
     """Run every :class:`ResilienceTask`; points return in task order.
 
     :func:`~repro.analysis.engine.run_tasks` with the
-    :data:`~repro.analysis.engine.RESILIENCE` kind: the same memo,
+    :data:`~repro.analysis.engine.RESILIENCE` kind: the same
     robust core (retries, timeouts, pool degradation, per-run telemetry
     with ``kind="resilience"``) and content-addressed on-disk cache as
     the other grids — points are stored as small ``res-`` prefixed JSON

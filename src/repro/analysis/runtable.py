@@ -229,9 +229,9 @@ RUN_TABLE_COLUMNS: Tuple[Column, ...] = (
            "Energy spent writing CRC guard words."),
     # -- provenance ------------------------------------------------------------
     Column("status", "provenance", "-", "wall", _ALL,
-           "How this execution obtained the result: memo-hit, "
-           "cache-hit, computed or failed (empty in the canonical "
-           "table; filled from an attached RunReport)."),
+           "How this execution obtained the result: cache-hit, "
+           "computed or failed (empty in the canonical table; filled "
+           "from an attached RunReport)."),
     Column("executed_in", "provenance", "-", "wall", _ALL,
            "Engine tier that executed a computed task: batch, pool, "
            "serial or degraded (empty for cache hits and in the "

@@ -61,7 +61,7 @@ class TaskTelemetry:
 
     index: int
     label: str = ""
-    status: str = "computed"  #: ``memo-hit`` | ``cache-hit`` | ``computed`` | ``failed``
+    status: str = "computed"  #: ``cache-hit`` | ``computed`` | ``failed``
     engine: str = "auto"
     wall_s: float = 0.0
     attempts: int = 1
@@ -94,7 +94,6 @@ class RunReport:
     engine: str = "auto"
     workers: int = 1
     n_tasks: int = 0
-    memo_hits: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     quarantines: int = 0
@@ -120,9 +119,7 @@ class RunReport:
         self.crashes += task.crashes
         self.timeouts += task.timeouts
         self.corrupt_payloads += task.corrupt_payloads
-        if task.status == "memo-hit":
-            self.memo_hits += 1
-        elif task.status == "cache-hit":
+        if task.status == "cache-hit":
             self.cache_hits += 1
         elif task.status == "failed":
             self.failed += 1
@@ -347,7 +344,6 @@ def summarize_events(events: Sequence[Dict[str, object]]) -> Dict[str, object]:
     totals = {
         "runs": 0,
         "tasks": 0,
-        "memo_hits": 0,
         "cache_hits": 0,
         "cache_misses": 0,
         "quarantines": 0,
@@ -369,7 +365,6 @@ def summarize_events(events: Sequence[Dict[str, object]]) -> Dict[str, object]:
         totals["degraded_runs"] += int(bool(event.get("degraded", False)))
         totals["wall_s"] += float(event.get("wall_s", 0.0))
         for key in (
-            "memo_hits",
             "cache_hits",
             "cache_misses",
             "quarantines",

@@ -425,7 +425,7 @@ def _cmd_report(log: str, limit: int) -> int:
                 str(event.get("context") or "-"),
                 event.get("kind", "?"),
                 event.get("n_tasks", 0),
-                int(event.get("memo_hits", 0)) + int(event.get("cache_hits", 0)),
+                event.get("cache_hits", 0),
                 event.get("computed", 0),
                 event.get("retries", 0),
                 int(event.get("crashes", 0))
@@ -461,7 +461,7 @@ def _cmd_report(log: str, limit: int) -> int:
             [
                 ("runs", totals["runs"]),
                 ("tasks", totals["tasks"]),
-                ("cache hits", totals["memo_hits"] + totals["cache_hits"]),
+                ("cache hits", totals["cache_hits"]),
                 ("computed", totals["computed"]),
                 ("retries", totals["retries"]),
                 ("crashes", totals["crashes"]),
@@ -707,7 +707,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         p.add_argument(
             "--no-cache",
             action="store_true",
-            help="disable result caching (in-memory and on-disk)",
+            help="disable the on-disk result cache",
         )
         p.add_argument(
             "--task-timeout",

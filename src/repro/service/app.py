@@ -84,8 +84,7 @@ def create_service(
     Configures the process-wide engine for service duty: the sharded
     cache with its hot tier, ``engine_workers`` engine processes per
     grid (default 1 — concurrency comes from the queue's worker
-    threads), and ``use_memo=False`` so repeat hits land in the
-    byte-bounded hot tier instead of the unbounded process memo.
+    threads). Repeat hits land in the byte-bounded hot tier.
 
     ``journal`` (a path or a :class:`JobJournal`) arms the write-ahead
     job journal: jobs found pending in it are replayed and re-enqueued
@@ -93,7 +92,7 @@ def create_service(
     where the killed one stopped.
     """
     cache = ShardedResultCache(cache_dir, hot_bytes=hot_bytes)
-    configure(cache=cache, use_memo=False, workers=engine_workers)
+    configure(cache=cache, workers=engine_workers)
     if journal is not None and not isinstance(journal, JobJournal):
         journal = JobJournal(journal)
     return CampaignService(

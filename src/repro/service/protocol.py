@@ -282,7 +282,7 @@ def _held_fleet_entries(
         data = cache.held_bytes(key, FIXED) if cache is not None else None
         if data is None:
             data = fixed_entry_bytes(result)
-        named.append((f"{FIXED.prefix}{key}.npz", data))
+        named.append((FIXED.entry_name(key), data))
     return named
 
 
@@ -297,11 +297,12 @@ def execute_campaign(
     :func:`run_grid` call would — that is the whole point: the service
     path adds transport, never semantics.
 
-    Grid and executive campaigns ask :func:`run_tasks` for entry bytes,
-    not values: a warm job streams the bytes the hot tier holds (or a
-    disk read checked) without decoding them, and a cold job streams
-    the bytes ``put`` just wrote. Fleet campaigns need values for their
-    summary, so they run :func:`run_fleet` and stream the held bytes.
+    Grid and executive campaigns ask :func:`run_tasks` for named entry
+    bytes, not values: a warm job streams the bytes the hot tier holds
+    (or a disk read checked) without decoding them, a cold job streams
+    the bytes ``put`` just wrote, and each task's key is hashed once.
+    Fleet campaigns need values for their summary, so they run
+    :func:`run_fleet` and stream the held bytes.
     A set ``cancel_event`` aborts between engine waves/tasks with
     :class:`~repro.errors.JobCancelledError`.
     """
@@ -313,14 +314,10 @@ def execute_campaign(
     try:
         if campaign.kind in ("grid", "executive"):
             kind = FIXED if campaign.kind == "grid" else EXECUTIVE
-            entries = run_tasks(
-                campaign.tasks, kind, engine=campaign.engine, entries=True
-            )
             lines += _entry_lines(
-                [
-                    (f"{kind.prefix}{task.cache_key()}.npz", data)
-                    for task, data in zip(campaign.tasks, entries)
-                ]
+                run_tasks(
+                    campaign.tasks, kind, engine=campaign.engine, entries=True
+                )
             )
         elif campaign.kind == "resilience":
             points = run_resilience_grid(campaign.tasks, engine=campaign.engine)

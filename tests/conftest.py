@@ -5,6 +5,9 @@ than the full 10 s evaluation window; the statistical shape targets
 hold there too and the suite stays fast.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -72,3 +75,34 @@ def median_program():
             RecoverFromPragma("frame"),
         ],
     )
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    """Service jobs block in ``execute_campaign`` until ``gate.release``
+    is set (a cancel, as a drain overrun sends, raises instead), then
+    return ``gate.run(campaign, cancel_event)``: no result lines unless
+    a test sets ``run`` (to the real ``execute_campaign``, say)."""
+    from repro.errors import JobCancelledError
+    from repro.service import queue as service_queue
+
+    class Gate:
+        started = threading.Event()
+        release = threading.Event()
+
+        def run(campaign, cancel_event=None):
+            return [], {}
+
+    def _gated_execute(campaign, cancel_event=None):
+        Gate.started.set()
+        deadline = time.monotonic() + 60.0
+        while not Gate.release.wait(0.01):
+            if cancel_event is not None and cancel_event.is_set():
+                raise JobCancelledError("cancelled")
+            if time.monotonic() > deadline:
+                raise RuntimeError("gate never released")
+        return Gate.run(campaign, cancel_event)
+
+    monkeypatch.setattr(service_queue, "execute_campaign", _gated_execute)
+    yield Gate
+    Gate.release.set()

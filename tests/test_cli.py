@@ -1,5 +1,8 @@
 """Tests for the repro-experiments command-line interface."""
 
+import json
+import re
+
 import pytest
 
 from repro.analysis import engine, telemetry
@@ -73,9 +76,6 @@ class TestEngineFlags:
         entries = list(cache_dir.glob("*.npz"))
         assert entries, "cold run should populate the on-disk cache"
 
-        # New process simulation: drop the in-memory memo so the warm
-        # invocation must be served from disk.
-        engine.clear_memory_cache()
         assert main(["run", "fig16", "--cache-dir", str(cache_dir)]) == 0
         warm_out = capsys.readouterr().out
         assert warm_out == cold_out
@@ -255,6 +255,20 @@ class TestReportCommand:
     def test_report_missing_log_fails_cleanly(self, tmp_path, capsys):
         assert main(["report", "--log", str(tmp_path / "nope.jsonl")]) == 2
         assert "repro-experiments report: error:" in capsys.readouterr().err
+
+    def test_report_ignores_a_retired_memo_hits_key(self, tmp_path, capsys):
+        # Logs from before the in-process result memo was removed carry
+        # a memo_hits count; they still parse and the key is ignored.
+        log = tmp_path / "old.jsonl"
+        event = {"event": "run", "kind": "fixed", "context": "fig16",
+                 "n_tasks": 5, "memo_hits": 3, "cache_hits": 2}
+        log.write_text(json.dumps(event) + "\n")
+        totals = telemetry.summarize_events(telemetry.read_events(log))
+        assert totals["cache_hits"] == 2 and "memo_hits" not in totals
+        assert main(["report", "--log", str(log)]) == 0
+        out = capsys.readouterr().out
+        assert "memo" not in out
+        assert re.search(r"^cache hits +2 *$", out, re.MULTILINE)
 
     def test_report_empty_log_is_not_an_error(self, tmp_path, capsys):
         log = tmp_path / "empty.jsonl"

@@ -183,11 +183,11 @@ def test_warm_cache_serves_without_recompute(tmp_path, monkeypatch):
         raise AssertionError("cache miss: task was re-executed")
 
     monkeypatch.setattr(engine.ExecutiveTask, "run", _boom)
-    # In-process memo hit.
+    # Disk hits, also after the quality memo is dropped.
     assert engine.executive_results_equal(first, engine.cached_executive_run(task))
-    # Disk hit after the memo is dropped.
     engine.clear_memory_cache()
     assert engine.executive_results_equal(first, engine.cached_executive_run(task))
+    assert engine.default_cache().hits == 2
     # A changed knob is a miss and must try to re-execute.
     with pytest.raises(AssertionError, match="re-executed"):
         engine.cached_executive_run(dataclasses.replace(task, minbits=3))

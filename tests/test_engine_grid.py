@@ -157,7 +157,6 @@ def test_run_grid_cache_hit_equals_miss(tmp_path):
     cache = engine.ResultCache(tmp_path)
     cold = engine.run_grid(SMALL_SPEC, workers=1, cache=cache)
     assert cache.misses == len(cold) and cache.hits == 0
-    engine.clear_memory_cache()  # force the warm pass onto the disk cache
     warm = engine.run_grid(SMALL_SPEC, workers=1, cache=cache)
     assert cache.hits == len(warm)
     assert cold.equal(warm)
@@ -167,11 +166,11 @@ def test_cached_fixed_run_disk_and_memo_paths_equal(tmp_path):
     engine.configure(cache_dir=tmp_path)
     task = engine.FixedBitTask(profile_id=1, bits=4, duration_s=0.4)
     computed = engine.cached_fixed_run(task)
-    memo_hit = engine.cached_fixed_run(task)
-    engine.clear_memory_cache()
     disk_hit = engine.cached_fixed_run(task)
-    assert engine.simulation_results_equal(computed, memo_hit)
+    again = engine.cached_fixed_run(task)
     assert engine.simulation_results_equal(computed, disk_hit)
+    assert engine.simulation_results_equal(computed, again)
+    assert engine.default_cache().hits == 2
 
 
 def test_cached_fixed_run_returns_defensive_copies():
@@ -226,7 +225,7 @@ _KIND_EQUAL = {
 }
 
 _REPORT_COUNTERS = (
-    "n_tasks", "memo_hits", "cache_hits", "cache_misses", "quarantines",
+    "n_tasks", "cache_hits", "cache_misses", "quarantines",
     "computed", "retries", "crashes", "timeouts", "corrupt_payloads",
     "pool_failures", "degraded", "failed",
 )

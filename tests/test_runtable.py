@@ -303,7 +303,7 @@ class TestTelemetryRoundTrip:
         assert indices == list(range(len(table)))
         runtable.attach_provenance_from_events(table, events)
         statuses = [row["status"] for row in table.rows]
-        assert all(s in ("computed", "cache-hit", "memo-hit") for s in statuses)
+        assert all(s in ("computed", "cache-hit") for s in statuses)
         engines = {row["engine"] for row in table.rows}
         assert engines == {"auto"}
 
@@ -672,21 +672,24 @@ class TestServiceEndpoint:
         )
         assert "# HELP repro_service_runtable_requests_total" in text
 
-    def test_unfinished_job_409(self, service):
-        # A job that cannot be done yet: submit, then ask immediately.
+    def test_unfinished_job_409(self, service, gate):
+        # The gate holds the job in execute_campaign: it cannot be done.
+        gate.run = execute_campaign
         job = http_submit(service.base_url, FLEET_PAYLOAD)
+        assert gate.started.wait(timeout=30)
         url = f"{service.base_url}/jobs/{job['id']}/runtable.csv"
-        try:
-            status, _, body = _http_get(url)
-            payload = json.loads(body)
-            # Tiny campaigns can finish before the GET lands; accept
-            # either outcome but require the right shape for each.
-            assert status == 200
-        except urllib.error.HTTPError as exc:
-            assert exc.code == 409
-            payload = json.loads(exc.read())
-            assert payload["status"] in ("queued", "running")
-        http_wait(service.base_url, job["id"], timeout=300)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _http_get(url)
+        assert excinfo.value.code == 409
+        assert json.loads(excinfo.value.read())["status"] == "running"
+
+        gate.release.set()
+        done = http_wait(service.base_url, job["id"], timeout=300)
+        assert done["status"] == "done"
+        status, _, body = _http_get(url)
+        assert status == 200
+        header = body.split(b"\n", 1)[0].decode("utf-8")
+        assert header == ",".join(runtable.COLUMN_NAMES)
 
     def test_unknown_job_404(self, service):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

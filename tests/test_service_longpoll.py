@@ -20,9 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import engine, telemetry
-from repro.errors import JobCancelledError
 from repro.service import http_metrics, http_submit, start_in_thread
-from repro.service import queue as service_queue
 
 pytestmark = pytest.mark.service
 
@@ -44,30 +42,6 @@ def _fresh_engine():
     yield
     telemetry.reset()
     engine.reset()
-
-
-@pytest.fixture
-def gate(monkeypatch):
-    """Jobs block in ``execute_campaign`` until ``gate.release`` is set
-    (a cancel, as a drain overrun sends, raises instead)."""
-
-    class Gate:
-        started = threading.Event()
-        release = threading.Event()
-
-    def _gated_execute(campaign, cancel_event=None):
-        Gate.started.set()
-        deadline = time.monotonic() + 60.0
-        while not Gate.release.wait(0.01):
-            if cancel_event is not None and cancel_event.is_set():
-                raise JobCancelledError("cancelled")
-            if time.monotonic() > deadline:
-                raise RuntimeError("gate never released")
-        return [], {}
-
-    monkeypatch.setattr(service_queue, "execute_campaign", _gated_execute)
-    yield Gate
-    Gate.release.set()
 
 
 def _poll(base_url, job_id, wait_s, answers):

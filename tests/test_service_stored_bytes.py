@@ -106,7 +106,7 @@ def decodes(monkeypatch):
 def _serve_from(tmp_path, hot_bytes=ShardedResultCache.DEFAULT_HOT_BYTES):
     """The engine set up as the service sets it up."""
     cache = ShardedResultCache(tmp_path / "cache", hot_bytes=hot_bytes)
-    engine.configure(cache=cache, use_memo=False, workers=1)
+    engine.configure(cache=cache, workers=1)
     return cache
 
 
@@ -127,7 +127,7 @@ def _reset(counts):
 
 def _reference(cache_dir, payload, counts):
     """The campaign's stream from a cache of its own, uncounted."""
-    engine.configure(cache=ShardedResultCache(cache_dir), use_memo=False, workers=1)
+    engine.configure(cache=ShardedResultCache(cache_dir), workers=1)
     try:
         return _stream(payload)
     finally:
@@ -230,6 +230,30 @@ def test_entries_replaced_before_the_stream_are_encoded(
     assert encodes["fixed"] == 2 * len(reference)
 
 
+@pytest.mark.parametrize("campaign", ["grid", "executive"])
+def test_warm_job_hashes_each_task_key_once(tmp_path, monkeypatch, campaign):
+    """``run_tasks`` names the entries by the keys it hashed for the
+    cache probe, so a job hashes no key a second time."""
+    payload, _ = CAMPAIGNS[campaign]
+    if campaign == "grid":
+        payload = {**payload, "grid": {**payload["grid"], "bits": [3]}}
+    tasks = parse_campaign(payload).tasks
+    assert len(tasks) == 2
+    _serve_from(tmp_path)
+    cold = _stream(payload)
+    task_type = type(tasks[0])
+    cache_key = task_type.cache_key
+    calls = []
+
+    def counting(task):
+        calls.append(task)
+        return cache_key(task)
+
+    monkeypatch.setattr(task_type, "cache_key", counting)
+    assert _stream(payload) == cold
+    assert sorted(map(tasks.index, calls)) == [0, 1]
+
+
 def test_held_bytes_counts_no_hit_or_miss(tmp_path):
     cache = _serve_from(tmp_path)
     names = [name for name, _ in _stream(GRID)]
@@ -271,7 +295,6 @@ def _telemetry(tasks, hits, computed):
     """A job document's ``telemetry`` without ``wall_s``."""
     counts = dict.fromkeys(
         (
-            "memo_hits",
             "quarantines",
             "retries",
             "crashes",
@@ -342,9 +365,9 @@ def test_job_telemetry_and_cache_counters_are_pinned(tmp_path, campaign):
 )
 @pytest.mark.parametrize("setting", ["no-cache", "memo"])
 def test_run_tasks_entries_are_the_encoded_values(tmp_path, kind, setting):
-    """With caching off, or with the memo on, ``entries=True`` returns
-    ``kind.encode`` of the values, and it neither reads nor fills the
-    memo."""
+    """With caching off, or with a cache (the ``memo`` id predates the
+    memo's removal), ``entries=True`` returns each task's entry name and
+    ``kind.encode`` of its value."""
     payload = GRID if kind is engine.FIXED else EXECUTIVE
     tasks = parse_campaign(payload).tasks
     if setting == "no-cache":
@@ -352,10 +375,11 @@ def test_run_tasks_entries_are_the_encoded_values(tmp_path, kind, setting):
     else:
         engine.configure(cache=ShardedResultCache(tmp_path / "cache"))
     entries = engine.run_tasks(tasks, kind, entries=True)
-    assert engine._MEMO == {}
     values = engine.run_tasks(tasks, kind)
-    assert entries == tuple(kind.encode(value) for value in values)
+    assert entries == tuple(
+        (kind.entry_name(task.cache_key()), kind.encode(value))
+        for task, value in zip(tasks, values)
+    )
     if setting == "memo":
-        assert len(engine._MEMO) == len(tasks)
         assert engine.run_tasks(tasks, kind, entries=True) == entries
         assert telemetry.last_report().cache_hits == len(tasks)

@@ -22,7 +22,7 @@ def _fresh_state():
 
 def test_merge_task_folds_counters():
     report = telemetry.RunReport(kind="fixed", n_tasks=3)
-    report.merge_task(telemetry.TaskTelemetry(index=0, status="memo-hit"))
+    report.merge_task(telemetry.TaskTelemetry(index=0, status="failed"))
     report.merge_task(telemetry.TaskTelemetry(index=1, status="cache-hit"))
     report.merge_task(
         telemetry.TaskTelemetry(
@@ -35,7 +35,7 @@ def test_merge_task_folds_counters():
             wall_s=0.5,
         )
     )
-    assert report.memo_hits == 1
+    assert report.failed == 1
     assert report.cache_hits == 1
     assert report.computed == 1
     assert report.retries == 2
@@ -43,7 +43,6 @@ def test_merge_task_folds_counters():
     assert report.timeouts == 1
     assert report.corrupt_payloads == 1
     assert report.worker_failures == 3
-    assert report.failed == 0
 
 
 def test_to_dict_excludes_tasks_by_default():
