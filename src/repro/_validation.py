@@ -8,6 +8,7 @@ specific type is supplied).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence, Type
 
 import numpy as np
@@ -35,7 +36,7 @@ def require(condition: bool, message: str, exc: Type[Exception] = ConfigurationE
 def check_positive(value: float, name: str, exc: Type[Exception] = ConfigurationError) -> float:
     """Validate that ``value`` is a finite number strictly greater than zero."""
     value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
+    if not math.isfinite(value) or value <= 0.0:
         raise exc(f"{name} must be a finite positive number, got {value!r}")
     return value
 
@@ -43,7 +44,7 @@ def check_positive(value: float, name: str, exc: Type[Exception] = Configuration
 def check_non_negative(value: float, name: str, exc: Type[Exception] = ConfigurationError) -> float:
     """Validate that ``value`` is a finite number greater than or equal to zero."""
     value = float(value)
-    if not np.isfinite(value) or value < 0.0:
+    if not math.isfinite(value) or value < 0.0:
         raise exc(f"{name} must be a finite non-negative number, got {value!r}")
     return value
 
@@ -57,7 +58,7 @@ def check_in_range(
 ) -> float:
     """Validate that ``low <= value <= high``."""
     value = float(value)
-    if not np.isfinite(value) or value < low or value > high:
+    if not math.isfinite(value) or value < low or value > high:
         raise exc(f"{name} must be in [{low}, {high}], got {value!r}")
     return value
 
