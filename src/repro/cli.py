@@ -81,8 +81,15 @@ EXPERIMENT_RUNNERS: Dict[str, Callable[[], "E.ExperimentResult"]] = {
     "fig25": E.fig25_fp_retention,
     "fig27": E.fig27_recomputation,
     "table2": E.table2_qos,
+    "table2-jpeg-frames": E.jpeg_frame_qos,
     "fig28": E.fig28_overall_gain,
+    "fig28-robustness": E.fig28_seed_robustness,
     "sec7": E.sec7_frame_rates,
+    "ablation-mechanisms": E.ablation_mechanisms,
+    "ablation-buffer": E.ablation_buffer_capacity,
+    "ablation-retention-scale": E.ablation_retention_scale,
+    "ablation-recover-placement": E.ablation_recover_placement,
+    "ablation-sources": E.ablation_harvester_sources,
     "resilience": E.resilience_campaign,
     "fleet": E.fleet_campaign,
     "runtable": E.runtable_stats,
