@@ -35,7 +35,6 @@ import threading
 from typing import Dict, Optional, Set, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
-from ..analysis import engine as engine_mod
 from ..analysis.engine import ShardedResultCache, configure
 from ..errors import ConfigurationError, QueueFullError, ServiceDrainingError
 from ..obs.export import render_prometheus
@@ -699,9 +698,3 @@ def start_in_thread(
     if failure:
         raise failure[0]
     return ServiceHandle(service=service, loop=loop, thread=thread)
-
-
-def current_cache() -> Optional[ShardedResultCache]:
-    """The engine's configured cache when it is the service's sharded kind."""
-    cache = engine_mod._CONFIG.get("cache")
-    return cache if isinstance(cache, ShardedResultCache) else None

@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis import engine
 from repro.core import executive as core_executive
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EngineExecutionError
 
 DURATION = 0.4
 
@@ -174,31 +174,38 @@ def test_executive_cache_corrupt_entry_is_a_miss(tmp_path):
     assert cache.get_executive(key) is None
 
 
+def _run_one(task):
+    """One task through a one-task grid, the experiment runners' path."""
+    (result,) = engine.run_executive_grid([task]).results
+    return result
+
+
 def test_warm_cache_serves_without_recompute(tmp_path, monkeypatch):
     engine.configure(cache_dir=tmp_path)
     task = _task()
-    first = engine.cached_executive_run(task)
+    first = _run_one(task)
 
     def _boom(*args, **kwargs):
         raise AssertionError("cache miss: task was re-executed")
 
-    monkeypatch.setattr(engine.ExecutiveTask, "run", _boom)
+    # Both the batch tier and the per-task run build the executive.
+    monkeypatch.setattr(engine.ExecutiveTask, "build_executive", _boom)
     # Disk hits, also after the quality memo is dropped.
-    assert engine.executive_results_equal(first, engine.cached_executive_run(task))
+    assert engine.executive_results_equal(first, _run_one(task))
     engine.clear_memory_cache()
-    assert engine.executive_results_equal(first, engine.cached_executive_run(task))
+    assert engine.executive_results_equal(first, _run_one(task))
     assert engine.default_cache().hits == 2
     # A changed knob is a miss and must try to re-execute.
-    with pytest.raises(AssertionError, match="re-executed"):
-        engine.cached_executive_run(dataclasses.replace(task, minbits=3))
+    with pytest.raises(EngineExecutionError, match="re-executed"):
+        _run_one(dataclasses.replace(task, minbits=3))
 
 
 def test_cached_executive_run_returns_defensive_copies():
     task = _task()
-    first = engine.cached_executive_run(task)
+    first = _run_one(task)
     first.frames[0].element_bits[:] = 99
     first.sim.bit_schedule[:] = 0
-    second = engine.cached_executive_run(task)
+    second = _run_one(task)
     assert not np.array_equal(
         second.frames[0].element_bits, first.frames[0].element_bits
     )
@@ -208,8 +215,8 @@ def test_cached_executive_run_returns_defensive_copies():
 def test_use_cache_false_bypasses_all_caching(tmp_path):
     engine.configure(cache_dir=tmp_path, use_cache=False)
     task = _task()
-    a = engine.cached_executive_run(task)
-    b = engine.run_executive_grid([task]).results[0]
+    a = _run_one(task)
+    b = _run_one(task)
     assert engine.executive_results_equal(a, b)
     assert len(engine.ResultCache(tmp_path)) == 0
 
@@ -257,7 +264,7 @@ def test_executive_frame_quality_matches_inline_replay():
 
 def test_quality_replay_is_memoised():
     task = _task(minbits=4, frame_period_ticks=2_500)
-    result = engine.cached_executive_run(task)
+    result = _run_one(task)
     first = engine.executive_frame_quality(task, result, min_coverage=0.999)
     calls = {"n": 0}
     original = core_executive.ApproxContext
@@ -281,7 +288,7 @@ def test_quality_replay_frames_are_independent_of_grid_point():
     # Two tasks sharing a prefix of identical frame tuples must score
     # those frames identically (this is what makes memoisation sound).
     a = _task(minbits=4, frame_period_ticks=2_500)
-    ra = engine.cached_executive_run(a)
+    ra = _run_one(a)
     qa = engine.executive_frame_quality(a, ra, min_coverage=0.999)
     engine.reset()
     qa2 = engine.executive_frame_quality(a, ra, min_coverage=0.999)

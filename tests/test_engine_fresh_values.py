@@ -31,8 +31,8 @@ EQUAL = {
     "executive": engine.executive_results_equal,
 }
 SINGLE = {
-    "fixed": engine.cached_fixed_run,
-    "executive": engine.cached_executive_run,
+    "fixed": lambda task: engine.run_grid([task]).results[0],
+    "executive": lambda task: engine.run_executive_grid([task]).results[0],
 }
 
 by_kind = pytest.mark.parametrize(

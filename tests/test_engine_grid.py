@@ -162,12 +162,18 @@ def test_run_grid_cache_hit_equals_miss(tmp_path):
     assert cold.equal(warm)
 
 
+def _run_one(task):
+    """One task through a one-task grid, the experiment runners' path."""
+    (result,) = engine.run_grid([task]).results
+    return result
+
+
 def test_cached_fixed_run_disk_and_memo_paths_equal(tmp_path):
     engine.configure(cache_dir=tmp_path)
     task = engine.FixedBitTask(profile_id=1, bits=4, duration_s=0.4)
-    computed = engine.cached_fixed_run(task)
-    disk_hit = engine.cached_fixed_run(task)
-    again = engine.cached_fixed_run(task)
+    computed = _run_one(task)
+    disk_hit = _run_one(task)
+    again = _run_one(task)
     assert engine.simulation_results_equal(computed, disk_hit)
     assert engine.simulation_results_equal(computed, again)
     assert engine.default_cache().hits == 2
@@ -175,9 +181,9 @@ def test_cached_fixed_run_disk_and_memo_paths_equal(tmp_path):
 
 def test_cached_fixed_run_returns_defensive_copies():
     task = engine.FixedBitTask(profile_id=1, bits=8, duration_s=0.4)
-    first = engine.cached_fixed_run(task)
+    first = _run_one(task)
     first.bit_schedule[:] = 99  # a badly-behaved caller
-    second = engine.cached_fixed_run(task)
+    second = _run_one(task)
     assert not np.any(second.bit_schedule == 99)
     assert second.bit_schedule.max() == 8
 
@@ -185,8 +191,8 @@ def test_cached_fixed_run_returns_defensive_copies():
 def test_use_cache_false_bypasses_all_caching(tmp_path):
     engine.configure(cache_dir=tmp_path, use_cache=False)
     task = engine.FixedBitTask(profile_id=1, bits=8, duration_s=0.3)
-    a = engine.cached_fixed_run(task)
-    b = engine.cached_fixed_run(task)
+    a = _run_one(task)
+    b = _run_one(task)
     assert engine.simulation_results_equal(a, b)
     assert len(list(tmp_path.glob("*.npz"))) == 0
 
