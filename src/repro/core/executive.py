@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._memo import LruMemo
 from .._validation import check_int_in_range
 from ..energy.traces import PowerTrace
 from ..errors import ConfigurationError, SimulationError
@@ -601,10 +602,20 @@ class IncidentalExecutive(IncidentalAllocator):
 # so scores do not depend on which other frames were scored before them.
 # That purity is what makes the replay memoizable across grid points:
 # fig24/fig28-style sweeps score the same frames under many policies and
-# profiles, and identical tuples are served from the memo.
+# profiles, and identical tuples are served from the memo. Both memos
+# are least-recently-used under an entry budget, so a long-running
+# service scoring fresh runs does not keep every frame it ever scored.
+# ``repro run all`` leaves 65 quality and 6 exact entries, so no
+# artifact loses a hit to the budgets.
 
-_QUALITY_MEMO: Dict[tuple, Tuple[float, float]] = {}
-_EXACT_MEMO: Dict[tuple, np.ndarray] = {}
+#: Entry budget of the frame-quality memo (an entry is mostly the
+#: frame's element-bit schedule, part of its key).
+QUALITY_MEMO_ENTRIES = 1024
+#: Entry budget of the exact-reference memo (one kernel output each).
+EXACT_MEMO_ENTRIES = 64
+
+_QUALITY_MEMO = LruMemo(QUALITY_MEMO_ENTRIES)
+_EXACT_MEMO = LruMemo(EXACT_MEMO_ENTRIES)
 
 #: Offset multiplier decoupling the per-frame decay stream from the
 #: per-frame ApproxContext stream (which uses ``seed + frame_id``).
@@ -635,11 +646,9 @@ def _policy_key(policy) -> Optional[tuple]:
 
 
 def _exact_reference(kernel, image: np.ndarray, image_key: tuple) -> np.ndarray:
-    key = (kernel.name, image_key)
-    cached = _EXACT_MEMO.get(key)
-    if cached is None:
-        cached = _EXACT_MEMO.setdefault(key, kernel.run_exact(image))
-    return cached
+    return _EXACT_MEMO.get(
+        (kernel.name, image_key), lambda: kernel.run_exact(image)
+    )
 
 
 def replay_frame_quality(
@@ -681,8 +690,8 @@ def replay_frame_quality(
             failure_seed,
             pol_key,
         )
-        cached = _QUALITY_MEMO.get(memo_key)
-        if cached is None:
+
+        def score() -> Tuple[float, float]:
             bits = record.element_bits.astype(np.int64).copy()
             bits[bits == 0] = 1  # uncomputed elements: worst-case budget
             ctx = ApproxContext(alu_bits=bits, mem_bits=8, seed=ctx_seed)
@@ -699,8 +708,9 @@ def replay_frame_quality(
                     )
                 output = flat.reshape(output.shape)
             reference = _exact_reference(kernel, image, img_key)
-            cached = (compute_psnr(reference, output), compute_mse(reference, output))
-            _QUALITY_MEMO[memo_key] = cached
+            return (compute_psnr(reference, output), compute_mse(reference, output))
+
+        cached = _QUALITY_MEMO.get(memo_key, score)
         scores.append(
             FrameQuality(
                 frame_id=record.frame_id,

@@ -64,11 +64,14 @@ class FleetResult:
     availability (on-tick fraction) is ``<= t`` — a true CDF, so
     "fraction of fleet at least 90 % available" is
     ``1 - cdf[0.9 - step]``. ``metrics`` is a mergeable
-    :class:`~repro.obs.metrics.MetricsRegistry` export.
+    :class:`~repro.obs.metrics.MetricsRegistry` export. ``keys`` are
+    the devices' cache keys, hashed once for the engine's cache probe,
+    so a caller naming their entries need not hash them again.
     """
 
     spec: FleetSpec
     tasks: Tuple[FleetDeviceTask, ...]
+    keys: Tuple[str, ...]
     results: Tuple[SimulationResult, ...]
     progress_percentiles: Dict[str, float]
     progress_rate_percentiles: Dict[str, float]
@@ -97,7 +100,10 @@ def run_fleet(
     entirely.
     """
     tasks = spec.tasks()
-    grid = engine_mod.run_grid(tasks, workers=workers, cache=cache, engine=engine)
+    keys = tuple(task.cache_key() for task in tasks)
+    grid = engine_mod.run_grid(
+        tasks, workers=workers, cache=cache, engine=engine, keys=keys
+    )
     results = grid.results
 
     progress = np.array(
@@ -164,6 +170,7 @@ def run_fleet(
     return FleetResult(
         spec=spec,
         tasks=tasks,
+        keys=keys,
         results=results,
         progress_percentiles=_percentile_dict(progress),
         progress_rate_percentiles=_percentile_dict(progress_rate),

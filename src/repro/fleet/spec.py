@@ -23,12 +23,16 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .._validation import check_int_in_range, check_positive
-from ..analysis.engine import ENGINE_CACHE_VERSION, derive_task_seed
+from ..analysis.engine import (
+    ENGINE_CACHE_VERSION,
+    TRACE_MEMO,
+    derive_task_seed,
+)
 from ..energy.traces import (
     PowerTrace,
     SYNTH_TRACE_MODES,
@@ -52,31 +56,30 @@ __all__ = [
 
 _POLICY_CHOICES = ("precise",) + tuple(STANDARD_POLICY_NAMES)
 
-# Per-process memo of synthesised device traces. Identity matters
-# beyond speed: the batch plan dedups slots by trace *object*, so two
-# lanes of the same device must see the same PowerTrace instance.
-# Bounded FIFO — eviction only costs a re-synthesis (and a lost dedup),
-# never correctness.
-_TRACE_MEMO: Dict[Tuple, PowerTrace] = {}
-_TRACE_MEMO_MAX = 4096
-
 
 def _fleet_trace(
     mode: str, seed: int, duration_s: float, scale: float
 ) -> PowerTrace:
-    key = (mode, seed, duration_s, scale)
-    trace = _TRACE_MEMO.get(key)
-    if trace is None:
-        trace = synthesize_trace(mode, seed, duration_s=duration_s, scale=scale)
-        if len(_TRACE_MEMO) >= _TRACE_MEMO_MAX:
-            _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
-        _TRACE_MEMO[key] = trace
-    return trace
+    """A device's synthesised trace, memoised in the engine's one
+    :data:`~repro.analysis.engine.TRACE_MEMO`.
+
+    The memo is a byte-bounded LRU shared with the standard profiles
+    and seeded re-rolls, so a pool worker does not keep the previous
+    chunk's traces. Lanes of one device see one ``PowerTrace`` instance
+    while it is held, which the batch plan's slot dedup relies on; an
+    evicted trace is synthesised again, sample for sample.
+    """
+    return TRACE_MEMO.get(
+        ("fleet", mode, seed, duration_s, scale),
+        lambda: synthesize_trace(
+            mode, seed, duration_s=duration_s, scale=scale
+        ),
+    )
 
 
 def clear_fleet_trace_memo() -> None:
-    """Drop the per-process synthesised-trace memo."""
-    _TRACE_MEMO.clear()
+    """Drop every memoised trace (the fleet shares the engine's memo)."""
+    TRACE_MEMO.clear()
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ Routes::
     GET    /healthz            liveness + queue occupancy + journal state
     GET    /metrics            Prometheus text-format metrics export
     GET    /cache              shared sharded-cache info (incl. hot tier)
-    GET    /jobs               all job status documents
+    GET    /jobs               every held job's status document
     POST   /jobs               submit a campaign  -> 202 + job status
                                (200 when deduplicated onto an active job)
     GET    /jobs/<id>[?wait=S] one job's status (optionally long-poll)
@@ -23,7 +23,9 @@ Routes::
 
 Error mapping: malformed campaign -> 400, unknown job -> 404,
 results before completion -> 409, queue at capacity or draining ->
-503 + ``Retry-After``.
+503 + ``Retry-After``. The queue holds only the newest finished jobs
+(:data:`~repro.service.queue.MAX_FINISHED_JOBS`); a job it has
+forgotten answers 404 on every route, like an unknown id.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import threading
 from typing import Dict, Optional, Set, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
-from ..analysis.engine import ShardedResultCache, configure
+from ..analysis.engine import TRACE_MEMO, ShardedResultCache, configure
 from ..errors import ConfigurationError, QueueFullError, ServiceDrainingError
 from ..obs.export import render_prometheus
 from ..obs.metrics import MetricsRegistry
@@ -466,12 +468,17 @@ class CampaignService:
         One registry holds everything: the queue's accumulated engine
         and device metrics (merged from every finished job's
         RunReports), point-in-time service gauges (queue depth by
-        state, drain flag), monotonic cache counters (hot-tier hits,
-        quarantines) and the journal's replay/skip accounting.
+        state, drain flag, finished jobs and traces held), monotonic
+        counters (forgotten jobs, hot-tier hits, quarantines) and the
+        journal's replay/skip accounting.
         """
         registry = self.queue.metrics_snapshot()
         for state, count in self.queue.counts().items():
             registry.set_gauge(f"service.jobs.{state}", count)
+        registry.set_gauge("service.jobs_retained", self.queue.retained())
+        registry.inc("service.jobs_forgotten", self.queue.forgotten)
+        registry.set_gauge("engine.trace_memo.entries", len(TRACE_MEMO))
+        registry.set_gauge("engine.trace_memo.bytes", TRACE_MEMO.charge)
         registry.set_gauge("service.queue.capacity", self.queue.capacity)
         registry.set_gauge("service.draining", int(self.draining))
         info = self.cache.info()

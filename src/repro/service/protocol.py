@@ -266,19 +266,19 @@ def _entry_lines(named: Sequence[Tuple[str, bytes]]) -> List[str]:
 
 
 def _held_fleet_entries(
-    tasks: Sequence, results: Sequence
+    keys: Sequence[str], results: Sequence
 ) -> List[Tuple[str, bytes]]:
     """``(entry name, entry bytes)`` per fleet device, in task order.
 
-    The bytes are those the cache's hot tier holds for the entry, so a
-    hit is never re-encoded; ``fixed_entry_bytes`` runs only for the
-    entries it does not hold (no cache or hot tier, evicted, or the
+    ``keys`` are the ones :func:`run_fleet` hashed, so no key is hashed
+    twice. The bytes are those the cache's hot tier holds for the entry,
+    so a hit is never re-encoded; ``fixed_entry_bytes`` runs only for
+    the entries it does not hold (no cache or hot tier, evicted, or the
     file replaced since).
     """
     cache = default_cache()
     named = []
-    for task, result in zip(tasks, results):
-        key = task.cache_key()
+    for key, result in zip(keys, results):
         data = cache.held_bytes(key, FIXED) if cache is not None else None
         if data is None:
             data = fixed_entry_bytes(result)
@@ -302,7 +302,8 @@ def execute_campaign(
     (or a disk read checked) without decoding them, a cold job streams
     the bytes ``put`` just wrote, and each task's key is hashed once.
     Fleet campaigns need values for their summary, so they run
-    :func:`run_fleet` and stream the held bytes.
+    :func:`run_fleet` and stream the held bytes under the keys it
+    hashed.
     A set ``cancel_event`` aborts between engine waves/tasks with
     :class:`~repro.errors.JobCancelledError`.
     """
@@ -332,7 +333,7 @@ def execute_campaign(
             assert campaign.fleet is not None
             fleet_result = run_fleet(campaign.fleet, engine=campaign.engine)
             lines += _entry_lines(
-                _held_fleet_entries(fleet_result.tasks, fleet_result.results)
+                _held_fleet_entries(fleet_result.keys, fleet_result.results)
             )
             summary["fleet"] = {
                 "n_devices": len(fleet_result.tasks),

@@ -7,17 +7,26 @@ are refused with :class:`~repro.errors.QueueFullError` (the HTTP
 layer maps that to 503 + ``Retry-After``) — backpressure instead of
 unbounded memory growth under a client storm.
 
+The queue forgets what it no longer needs, like the paper's device,
+which carries only live state across an outage. It keeps the newest
+finished jobs, at most :data:`MAX_FINISHED_JOBS` of them holding at
+most :data:`MAX_FINISHED_BYTES` of result lines, and forgets older ones
+oldest first. A forgotten job answers 404 like an unknown id; its
+results are a pure function of its campaign, so resubmitting it is
+idempotent and served warm, and the journal stays the durable record.
+
 Identical campaigns (equal :meth:`Campaign.signature`) are
 *singleflighted*: a per-signature lock serialises their execution, so
 when N clients submit the same grid at once, one job computes and the
-rest replay almost entirely from the shared cache. The same content
-hash doubles as an **idempotency key** across restarts: submitting a
-campaign whose signature matches a still-active *recovered* job
-returns that job instead of creating a duplicate — which is what lets
-a client that lost its connection to a crashed server resubmit
-blindly and land on the journal-replayed job. (Fresh identical
-submissions still get their own job records; the flight lock alone
-bounds their duplicate computation.)
+rest replay almost entirely from the shared cache; a signature's lock
+is dropped once no job holds it. The same content hash doubles as an
+**idempotency key** across restarts: submitting a campaign whose
+signature matches a still-active *recovered* job returns that job
+instead of creating a duplicate — which is what lets a client that
+lost its connection to a crashed server resubmit blindly and land on
+the journal-replayed job. (Fresh identical submissions still get their
+own job records; the flight lock alone bounds their duplicate
+computation.)
 
 Durability comes from an optional write-ahead
 :class:`~repro.service.journal.JobJournal`: every commit point
@@ -52,8 +61,10 @@ import queue as _queue
 import threading
 import time
 import traceback
+from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..analysis import telemetry
 from ..errors import (
@@ -76,6 +87,15 @@ ACTIVE_STATES = ("queued", "running")
 
 #: Every state a job status document may carry.
 JOB_STATES = ("queued", "running", "requeued", "done", "failed", "cancelled")
+
+#: Finished jobs the queue keeps, newest first. At the benchmark's ~300
+#: requests/s that is about a second of finished work, far more than
+#: the milliseconds between a client's wait and its results fetch.
+MAX_FINISHED_JOBS = 256
+#: Result-line bytes the kept finished jobs may hold together; a
+#: 1000-device fleet job is about 2 MB. The newest finished job is kept
+#: whatever its size.
+MAX_FINISHED_BYTES = 64 * 1024 * 1024
 
 
 @dataclass
@@ -186,15 +206,24 @@ class CampaignQueue:
         self.journal = journal
         self.metrics = MetricsRegistry()
         self._pending: "_queue.Queue[Optional[Job]]" = _queue.Queue()
+        #: Every job the queue still answers for: the live ones and the
+        #: newest finished ones.
         self._jobs: Dict[str, Job] = {}
-        #: The jobs that may still be queued or running, by id. A job
-        #: is queued only when it is created and runs only from queued,
-        #: so it enters here then; :meth:`submit` drops those that have
-        #: left and admits against the rest, so admission costs the
-        #: same however long the service has run.
+        #: The ids of the finished jobs in ``_jobs``, oldest first, with
+        #: the bytes of their result lines.
+        self._finished: "OrderedDict[str, int]" = OrderedDict()
+        self._finished_bytes = 0
+        #: Finished jobs forgotten to stay within the bounds.
+        self.forgotten = 0
+        #: The queued and running jobs, by id. A job is queued only when
+        #: it is created and runs only from queued, so it enters here
+        #: then and leaves in :meth:`_retire`; :meth:`submit` admits
+        #: against these, so admission costs the same however long the
+        #: service has run.
         self._live: Dict[str, Job] = {}
         self._lock = threading.Lock()
-        self._flights: Dict[str, threading.Lock] = {}
+        #: Per-signature flight lock and how many jobs hold or await it.
+        self._flights: Dict[str, List] = {}
         self._closed = False
         self._joined = False
         self._draining = False
@@ -275,11 +304,6 @@ class CampaignQueue:
                 )
             if self._closed:
                 raise QueueFullError("campaign queue is shut down")
-            self._live = {
-                job_id: job
-                for job_id, job in self._live.items()
-                if job.status in ACTIVE_STATES
-            }
             for existing in self._live.values():
                 if existing.recovered and existing.signature == signature:
                     return existing, False
@@ -310,14 +334,19 @@ class CampaignQueue:
             return self._jobs.get(job_id)
 
     def jobs(self) -> List[Job]:
-        """All known jobs, oldest submission first."""
+        """Every job the queue holds, oldest submission first."""
         with self._lock:
             return sorted(self._jobs.values(), key=lambda job: job.id)
 
     def __len__(self) -> int:
-        """How many jobs the queue knows, in any state."""
+        """How many jobs the queue holds, in any state."""
         with self._lock:
             return len(self._jobs)
+
+    def retained(self) -> int:
+        """How many finished jobs the queue still holds."""
+        with self._lock:
+            return len(self._finished)
 
     def counts(self) -> Dict[str, int]:
         """Job tallies by state (every state present, zero or not)."""
@@ -348,6 +377,7 @@ class CampaignQueue:
             if job.status == "queued":
                 job.status = "cancelled"
                 job.finished_at = time.time()
+                self._retire(job)
                 job.mark_done()
                 if self.journal is not None:
                     self.journal.append("cancelled", job.id)
@@ -426,12 +456,44 @@ class CampaignQueue:
 
     # -- execution -------------------------------------------------------------
 
-    def _flight_lock(self, signature: str) -> threading.Lock:
+    def _retire(self, job: Job) -> None:
+        """Record ``job`` as finished and forget the oldest finished
+        jobs beyond the bounds; the caller holds ``_lock``.
+
+        Every path that ends a job in this process comes here: a worker
+        finishing or failing it, a cancel while it is queued, and the
+        close and drain sweeps. The newest finished job always stays.
+        """
+        self._live.pop(job.id, None)
+        self._finished_bytes -= self._finished.pop(job.id, 0)
+        size = sum(len(line) for line in job.result_lines)
+        self._finished[job.id] = size
+        self._finished_bytes += size
+        while len(self._finished) > 1 and (
+            len(self._finished) > MAX_FINISHED_JOBS
+            or self._finished_bytes > MAX_FINISHED_BYTES
+        ):
+            old_id, old_size = self._finished.popitem(last=False)
+            self._finished_bytes -= old_size
+            self._jobs.pop(old_id, None)
+            self.forgotten += 1
+
+    @contextmanager
+    def _flight(self, signature: str) -> Iterator[None]:
+        """Hold ``signature``'s flight lock; the last holder drops it."""
         with self._lock:
-            lock = self._flights.get(signature)
-            if lock is None:
-                lock = self._flights[signature] = threading.Lock()
-            return lock
+            flight = self._flights.get(signature)
+            if flight is None:
+                flight = self._flights[signature] = [threading.Lock(), 0]
+            flight[1] += 1
+        try:
+            with flight[0]:
+                yield
+        finally:
+            with self._lock:
+                flight[1] -= 1
+                if not flight[1]:
+                    del self._flights[signature]
 
     def _worker_loop(self) -> None:
         while True:
@@ -447,6 +509,7 @@ class CampaignQueue:
                     # job into a durable requeued record instead.
                     if job.status == "queued":
                         job.status = "requeued"
+                        self._retire(job)
                         if self.journal is not None:
                             self.journal.append("requeued", job.id)
                     continue
@@ -456,6 +519,7 @@ class CampaignQueue:
                     if job.status == "queued":
                         job.status = "cancelled"
                         job.finished_at = time.time()
+                        self._retire(job)
                         if self.journal is not None:
                             self.journal.append("cancelled", job.id)
                         job.mark_done()
@@ -465,13 +529,14 @@ class CampaignQueue:
             if self.journal is not None:
                 self.journal.append("started", job.id)
             try:
-                with self._flight_lock(job.signature):
+                with self._flight(job.signature):
                     self._execute(job)
             except BaseException:  # pragma: no cover - worker must survive
                 with self._lock:
                     job.status = "failed"
                     job.error = traceback.format_exc(limit=3)
                     job.finished_at = time.time()
+                    self._retire(job)
                 self._finalize(job, "failed")
                 job.mark_done()
 
@@ -499,6 +564,7 @@ class CampaignQueue:
                 job.status = "requeued"
                 job.started_at = 0.0
                 job.telemetry = summarize_reports(reports)
+                self._retire(job)
             self._finalize(job, "requeued")
             return
         with self._lock:
@@ -517,6 +583,7 @@ class CampaignQueue:
             for report in reports:
                 if report.device_metrics:
                     self.metrics.merge_dict(report.device_metrics)
+            self._retire(job)
         self._finalize(job, status)
         job.mark_done()
 

@@ -126,6 +126,18 @@ def test_run_grid_accepts_explicit_task_list():
         grid.result_for(engine.FixedBitTask(profile_id=5, bits=1))
 
 
+def test_run_grid_uses_the_keys_a_caller_hashed(tmp_path):
+    """Given keys are used as they are, not hashed again."""
+    tasks = SMALL_SPEC.tasks()[:2]
+    keys = ["a" * 64, "b" * 64]
+    engine.run_grid(tasks, workers=1, cache=engine.ResultCache(tmp_path), keys=keys)
+    assert sorted(path.name for path in tmp_path.glob("*.npz")) == [
+        f"{key}.npz" for key in keys
+    ]
+    with pytest.raises(ValueError, match="1 keys for 2 tasks"):
+        engine.run_grid(tasks, workers=1, keys=keys[:1])
+
+
 # -- the on-disk cache --------------------------------------------------------
 
 

@@ -100,6 +100,21 @@ class TestFleetSpec:
         task = SMALL.tasks()[0]
         assert task.build_trace() is task.build_trace()
 
+    def test_an_evicted_trace_is_synthesised_again_sample_for_sample(
+        self, monkeypatch
+    ):
+        # A budget below one trace: the newest trace still stays, so a
+        # device's lanes keep sharing it, and the shared memo holds one.
+        monkeypatch.setattr(engine_mod.TRACE_MEMO, "budget", 1)
+        first, second = SMALL.tasks()[:2]
+        trace = first.build_trace()
+        assert first.build_trace() is trace
+        second.build_trace()
+        assert len(engine_mod.TRACE_MEMO) == 1
+        again = first.build_trace()
+        assert again is not trace
+        assert again.samples_uw.tobytes() == trace.samples_uw.tobytes()
+
 
 class TestRunFleet:
     def test_batch_matches_per_task_path(self):

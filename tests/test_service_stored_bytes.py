@@ -19,6 +19,7 @@ import pytest
 
 from repro.analysis import engine, telemetry
 from repro.analysis.engine import FIXED, ShardedResultCache
+from repro.fleet import FleetDeviceTask
 from repro.service import (
     http_cache_info,
     http_submit,
@@ -252,6 +253,24 @@ def test_warm_job_hashes_each_task_key_once(tmp_path, monkeypatch, campaign):
     monkeypatch.setattr(task_type, "cache_key", counting)
     assert _stream(payload) == cold
     assert sorted(map(tasks.index, calls)) == [0, 1]
+
+
+def test_warm_fleet_job_hashes_each_device_key_once(tmp_path, monkeypatch):
+    """``run_fleet`` hands back the keys it hashed for the cache probe
+    and the stream names the entries by them, so a warm 4-device job
+    hashes each device key once."""
+    _serve_from(tmp_path)
+    cold = _stream(FLEET)
+    cache_key = FleetDeviceTask.cache_key
+    calls = []
+
+    def counting(task):
+        calls.append(task.device_id)
+        return cache_key(task)
+
+    monkeypatch.setattr(FleetDeviceTask, "cache_key", counting)
+    assert _stream(FLEET) == cold
+    assert sorted(calls) == [0, 1, 2, 3]
 
 
 def test_held_bytes_counts_no_hit_or_miss(tmp_path):
