@@ -618,6 +618,7 @@ def test_capacity_503_carries_retry_after(tmp_path, monkeypatch):
                 ),
                 timeout=10,
             )
+        excinfo.value.close()  # the error holds the response's socket
         assert excinfo.value.code == 503
         assert excinfo.value.headers["Retry-After"] == "1"
     finally:
