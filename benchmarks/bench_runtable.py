@@ -1,160 +1,8 @@
-"""Run-table perf snapshot: build throughput and service CSV overhead.
-
-Times the run-table analytics pipeline on a fleet campaign (120
-devices quick / 1000 full):
-
-1. ``build`` — flattening already-computed engine results into the
-   canonical table and rendering CSV bytes (pure analytics, no
-   simulation): rows per second;
-2. ``decode`` — the service-side path: rebuilding the identical table
-   from the job's JSONL result stream (base64 payload decode included);
-3. ``stream`` — HTTP round trips against an in-thread service, CSV
-   endpoint vs plain JSONL results, warm on both sides (the service
-   memoises the rendered CSV per job). The snapshot's
-   ``stream_overhead`` is the median relative extra wall time of
-   ``GET /jobs/<id>/runtable.csv`` over ``GET /jobs/<id>/results``;
-   the acceptance bar is < 5 %.
-
-Byte-identity is asserted before any number is reported: the served
-CSV must equal the offline writer's output for the same campaign and
-job id (``bit_exact`` in the JSON is asserted, not assumed).
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_runtable.py           # full fleet
-    PYTHONPATH=src python benchmarks/bench_runtable.py --quick   # CI smoke
-"""
+"""Benchmark for the run-table statistics artifact."""
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import platform
-import statistics
-import time
-import urllib.request
-
 import pytest
-
-from repro import __version__
-from repro.analysis import engine
-from repro.analysis.runtable import (
-    build_run_table,
-    run_table_from_result_lines,
-)
-from repro.service import http_submit, http_wait, start_in_thread
-from repro.service.protocol import execute_campaign, parse_campaign
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-STREAM_ROUNDS = 9
-
-
-def _fleet_payload(quick: bool) -> dict:
-    return {
-        "kind": "fleet",
-        "fleet": {
-            "n_devices": 120 if quick else 1000,
-            "seed": 2026,
-            "duration_s": 0.5 if quick else 1.0,
-        },
-    }
-
-
-def _http_get(url: str) -> bytes:
-    with urllib.request.urlopen(url) as resp:
-        return resp.read()
-
-
-def _timed_get(url: str) -> float:
-    t0 = time.perf_counter()
-    _http_get(url)
-    return time.perf_counter() - t0
-
-
-def run_benchmark(workers: int, quick: bool, cache_dir) -> dict:
-    payload = _fleet_payload(quick)
-    campaign = parse_campaign(payload)
-
-    engine.reset()
-    engine.configure(cache_dir=cache_dir / "offline", workers=workers)
-    from repro.fleet import run_fleet
-
-    fleet = run_fleet(campaign.fleet)
-    tasks, results = fleet.tasks, fleet.results
-
-    # Phase 1: pure table build (flatten + canonical CSV rendering).
-    t0 = time.perf_counter()
-    table = build_run_table("fleet", tasks, results)
-    offline_csv = table.to_csv_bytes()
-    build_s = time.perf_counter() - t0
-
-    # Phase 2: the service-side path — JSONL stream -> decode -> table.
-    lines, _ = execute_campaign(campaign)
-    t0 = time.perf_counter()
-    decoded = run_table_from_result_lines(campaign, lines)
-    decoded_csv = decoded.to_csv_bytes()
-    decode_s = time.perf_counter() - t0
-    if decoded_csv != offline_csv:
-        raise AssertionError("decoded table diverged from direct build")
-
-    # Phase 3: HTTP streaming overhead against a live in-thread service.
-    engine.reset()
-    handle = start_in_thread(cache_dir / "service", workers=workers)
-    try:
-        base = handle.base_url
-        job = http_submit(base, payload)
-        done = http_wait(base, job["id"], timeout=1200)
-        if done["status"] != "done":
-            raise AssertionError(f"service job failed: {done}")
-        results_url = f"{base}/jobs/{job['id']}/results"
-        csv_url = f"{base}/jobs/{job['id']}/runtable.csv"
-
-        served_csv = _http_get(csv_url)  # warm: builds + memoises
-        engine.reset()
-        engine.configure(cache_dir=cache_dir / "verify", workers=workers)
-        offline_job_csv = run_table_from_result_lines(
-            campaign, lines, job=job["id"]
-        ).to_csv_bytes()
-        if served_csv != offline_job_csv:
-            raise AssertionError("served CSV diverged from offline writer")
-        _timed_get(results_url)  # warm the JSONL side too
-
-        overheads = []
-        jsonl_ms = []
-        csv_ms = []
-        for _ in range(STREAM_ROUNDS):
-            jsonl_s = _timed_get(results_url)
-            csv_s = _timed_get(csv_url)
-            jsonl_ms.append(jsonl_s * 1e3)
-            csv_ms.append(csv_s * 1e3)
-            overheads.append((csv_s - jsonl_s) / jsonl_s)
-        stream_overhead = statistics.median(overheads)
-        jsonl_blob = _http_get(results_url)
-    finally:
-        handle.close()
-
-    n_rows = len(table)
-    return {
-        "benchmark": "run-table build throughput and service CSV streaming",
-        "version": __version__,
-        "python": platform.python_version(),
-        "quick": quick,
-        "workers": workers,
-        "devices": len(tasks),
-        "rows": n_rows,
-        "csv_bytes": len(offline_csv),
-        "jsonl_bytes": len(jsonl_blob),
-        "build_s": round(build_s, 4),
-        "decode_s": round(decode_s, 4),
-        "build_rows_per_s": round(n_rows / build_s, 1),
-        "decode_rows_per_s": round(n_rows / decode_s, 1),
-        "jsonl_ms_median": round(statistics.median(jsonl_ms), 3),
-        "csv_ms_median": round(statistics.median(csv_ms), 3),
-        "stream_overhead": round(stream_overhead, 4),
-        "bit_exact": True,
-    }
 
 
 @pytest.mark.benchmark(group="runtable")
@@ -167,39 +15,3 @@ def test_runtable_stats(run_once, record_artifact):
     comparison = result.data["comparison"]
     assert result.data["n_rows"] > 0
     assert comparison["a"]["n"] == comparison["b"]["n"]
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="small fleet (CI smoke)"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=4, help="engine processes"
-    )
-    parser.add_argument(
-        "--output",
-        default=str(REPO_ROOT / "BENCH_runtable.json"),
-        help="where to write the JSON snapshot",
-    )
-    args = parser.parse_args(argv)
-
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        snapshot = run_benchmark(
-            workers=args.workers, quick=args.quick,
-            cache_dir=pathlib.Path(tmp),
-        )
-    out = pathlib.Path(args.output)
-    out.write_text(json.dumps(snapshot, indent=2) + "\n")
-    print(json.dumps(snapshot, indent=2))
-    print(f"\nwrote {out}")
-    if not args.quick and snapshot["stream_overhead"] >= 0.05:
-        print("WARNING: CSV streaming overhead above the 5% bar")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

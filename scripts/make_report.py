@@ -23,12 +23,6 @@ ORDER = [
     "ablation-sources", "resilience", "fleet", "runtable",
 ]
 
-#: Perf snapshots (repo root JSON), appended after the artifact tables.
-BENCH_ORDER = [
-    "BENCH_incidental.json", "BENCH_faults.json", "BENCH_resilience.json",
-    "BENCH_runtable.json",
-]
-
 
 def main() -> None:
     if not RESULTS.is_dir():
@@ -51,16 +45,6 @@ def main() -> None:
     for path in sorted(RESULTS.glob("*.txt")):
         if path.name not in seen:
             chunks.append(f"\n## {path.stem}\n\n```\n{path.read_text().rstrip()}\n```\n")
-    benches = [
-        p for name in BENCH_ORDER
-        if (p := RESULTS.parent.parent / name).is_file()
-    ]
-    if benches:
-        chunks.append("\n## perf snapshots\n")
-        for path in benches:
-            chunks.append(
-                f"\n### {path.stem}\n\n```json\n{path.read_text().rstrip()}\n```\n"
-            )
     images = RESULTS / "images"
     if images.is_dir():
         names = sorted(p.name for p in images.glob("*.pgm"))

@@ -1,8 +1,9 @@
 """A thread-safe least-recently-used memo under a size budget.
 
-The per-process memos (synthesised power traces, executive frame
-quality) hold values that are pure functions of their keys, so
-forgetting one costs only its recomputation, never a different value.
+The per-process memos (synthesised power traces, the exact kernel
+outputs executive frames are scored against) hold values that are
+pure functions of their keys, so forgetting one costs only its
+recomputation, never a different value.
 :class:`LruMemo` keeps them within a budget: each value is charged
 ``size(value)`` (1 by default, a count), and once the charges exceed
 the budget the least recently used entries go first. The newest entry

@@ -26,8 +26,6 @@ Usage (also via ``python -m repro``):
     repro-experiments runtable --file campaign.json --reps 8  # seeded sweep
     repro-experiments stats --table run_table.csv --metric total_progress \
         --slice-a policy=precise --slice-b policy=linear
-    repro-experiments bench-history --root . --output history.csv
-    repro-experiments bench-history --baseline /tmp/base --tolerance 0.1
 
 ``--trace-out`` records a device-level trace of every *computed* task
 (cache hits carry no trace) as Chrome trace-event JSON — load it in
@@ -634,60 +632,6 @@ def _cmd_stats(args: "argparse.Namespace") -> int:
     return 0
 
 
-def _cmd_bench_history(args: "argparse.Namespace") -> int:
-    """Fold BENCH_*.json files into the trajectory table; gate drift."""
-    from .analysis import trajectory
-
-    try:
-        current = trajectory.bench_rows(args.root)
-    except ConfigurationError as exc:
-        print(f"repro-experiments bench-history: error: {exc}", file=sys.stderr)
-        return 2
-    if not current:
-        print(
-            f"repro-experiments bench-history: error: no BENCH_*.json "
-            f"under {args.root}",
-            file=sys.stderr,
-        )
-        return 2
-    blob = trajectory.history_csv_bytes(current)
-    if args.output == "-":
-        sys.stdout.write(blob.decode("utf-8"))
-    elif args.output is not None:
-        try:
-            with open(args.output, "wb") as handle:
-                handle.write(blob)
-        except OSError as exc:
-            print(
-                f"repro-experiments bench-history: error: {exc}",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"wrote {args.output}: {len(current)} trajectory row(s)")
-    else:
-        gated = sum(
-            1
-            for row in current
-            if trajectory.metric_direction(str(row["metric"]))
-        )
-        print(
-            f"{len(current)} trajectory row(s) from {args.root} "
-            f"({gated} gated)"
-        )
-    if args.baseline is None:
-        return 0
-    try:
-        baseline = trajectory.bench_rows(args.baseline)
-        regressions = trajectory.check_regressions(
-            baseline, current, tolerance=args.tolerance
-        )
-    except ConfigurationError as exc:
-        print(f"repro-experiments bench-history: error: {exc}", file=sys.stderr)
-        return 2
-    print(trajectory.format_regressions(regressions))
-    return 1 if regressions else 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-experiments`` / ``python -m repro``."""
     parser = argparse.ArgumentParser(
@@ -1072,38 +1016,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=0.05,
         help="two-sided CI significance level (default: 0.05)",
     )
-    bench_hist = sub.add_parser(
-        "bench-history",
-        help="fold BENCH_*.json snapshots into the perf-trajectory table",
-    )
-    bench_hist.add_argument(
-        "--root",
-        default=".",
-        metavar="DIR",
-        help="directory holding the current BENCH_*.json files (default: .)",
-    )
-    bench_hist.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="write the long-format trajectory CSV here ('-' prints)",
-    )
-    bench_hist.add_argument(
-        "--baseline",
-        default=None,
-        metavar="DIR",
-        help=(
-            "gate against the BENCH_*.json files in this directory; "
-            "exit 1 when a gated metric regresses beyond --tolerance"
-        ),
-    )
-    bench_hist.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.1,
-        metavar="FRACTION",
-        help="allowed relative drift for gated metrics (default: 0.1)",
-    )
     trace = sub.add_parser(
         "trace", help="inspect a recorded device trace"
     )
@@ -1189,8 +1101,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_report(args.log, args.limit)
     if args.command == "stats":
         return _cmd_stats(args)
-    if args.command == "bench-history":
-        return _cmd_bench_history(args)
     return _cmd_calibration()
 
 

@@ -593,28 +593,22 @@ class IncidentalExecutive(IncidentalAllocator):
         return scores
 
 
-# -- memoized post-hoc quality replay ------------------------------------------
+# -- post-hoc quality replay ---------------------------------------------------
 #
 # Replaying one frame is a pure function of (kernel, image, bit schedule,
 # exposures, seeds, retention policy): the approximate-datapath context is
 # seeded per frame, and so is the retention-failure model — each frame
 # gets its own decay stream derived from the run seed and the frame id,
 # so scores do not depend on which other frames were scored before them.
-# That purity is what makes the replay memoizable across grid points:
-# fig24/fig28-style sweeps score the same frames under many policies and
-# profiles, and identical tuples are served from the memo. Both memos
-# are least-recently-used under an entry budget, so a long-running
-# service scoring fresh runs does not keep every frame it ever scored.
-# ``repro run all`` leaves 65 quality and 6 exact entries, so no
-# artifact loses a hit to the budgets.
+# Only the exact kernel output a frame is scored against is memoised:
+# many frames share an image. The memo is least-recently-used under an
+# entry budget, so a long-running service scoring fresh runs does not
+# keep every reference it ever computed; ``repro run all`` leaves 6
+# entries.
 
-#: Entry budget of the frame-quality memo (an entry is mostly the
-#: frame's element-bit schedule, part of its key).
-QUALITY_MEMO_ENTRIES = 1024
 #: Entry budget of the exact-reference memo (one kernel output each).
 EXACT_MEMO_ENTRIES = 64
 
-_QUALITY_MEMO = LruMemo(QUALITY_MEMO_ENTRIES)
 _EXACT_MEMO = LruMemo(EXACT_MEMO_ENTRIES)
 
 #: Offset multiplier decoupling the per-frame decay stream from the
@@ -623,32 +617,19 @@ _FAILURE_SEED_STRIDE = 7919
 
 
 def clear_quality_memo() -> None:
-    """Drop every memoized frame-quality / exact-reference entry."""
-    _QUALITY_MEMO.clear()
+    """Drop every memoized exact-reference entry."""
     _EXACT_MEMO.clear()
 
 
-def _image_key(image: np.ndarray) -> tuple:
+def _exact_reference(kernel, image: np.ndarray) -> np.ndarray:
     data = np.ascontiguousarray(image)
-    digest = hashlib.sha256(data.tobytes()).hexdigest()
-    return (digest, data.shape, str(data.dtype))
-
-
-def _policy_key(policy) -> Optional[tuple]:
-    if policy is None:
-        return None
-    return (
-        type(policy).__name__,
-        hashlib.sha256(
-            np.ascontiguousarray(policy.retention_profile_ticks()).tobytes()
-        ).hexdigest(),
+    key = (
+        kernel.name,
+        hashlib.sha256(data.tobytes()).hexdigest(),
+        data.shape,
+        str(data.dtype),
     )
-
-
-def _exact_reference(kernel, image: np.ndarray, image_key: tuple) -> np.ndarray:
-    return _EXACT_MEMO.get(
-        (kernel.name, image_key), lambda: kernel.run_exact(image)
-    )
+    return _EXACT_MEMO.get(key, lambda: kernel.run_exact(image))
 
 
 def replay_frame_quality(
@@ -664,58 +645,37 @@ def replay_frame_quality(
     ``policy`` is the retention policy whose decay corrupts exposed
     partial results (``None`` disables decay injection). Each frame is
     replayed with an independent, frame-id-derived seed for both the
-    datapath noise and the decay stream, then memoized by content:
-    identical tuples — same kernel, image, element-bit schedule,
-    exposures and seeds — are computed once per process.
+    datapath noise and the decay stream, so its score depends only on
+    its own record.
     """
-    pol_key = _policy_key(policy)
     scores: List[FrameQuality] = []
     for record in frames:
         if record.coverage < min_coverage or record.element_bits.max(initial=0) == 0:
             continue
         image = images[record.frame_id % len(images)]
-        ctx_seed = seed + record.frame_id
-        failure_seed = (
-            seed + _FAILURE_SEED_STRIDE * (record.frame_id + 1)
-            if (policy is not None and record.exposures)
-            else None
-        )
-        img_key = _image_key(image)
-        memo_key = (
-            kernel.name,
-            img_key,
-            record.element_bits.tobytes(),
-            tuple(record.exposures),
-            ctx_seed,
-            failure_seed,
-            pol_key,
-        )
-
-        def score() -> Tuple[float, float]:
-            bits = record.element_bits.astype(np.int64).copy()
-            bits[bits == 0] = 1  # uncomputed elements: worst-case budget
-            ctx = ApproxContext(alu_bits=bits, mem_bits=8, seed=ctx_seed)
-            output = kernel.run(image, ctx)
-            if failure_seed is not None:
-                failure_model = RetentionFailureModel(policy, seed=failure_seed)
-                flat = output.reshape(-1).copy()
-                for outage_ticks, elements_done in record.exposures:
-                    if elements_done <= 0:
-                        continue
-                    region = flat[: min(elements_done, flat.size)]
-                    flat[: region.size] = failure_model.corrupt_words(
-                        region, outage_ticks
-                    )
-                output = flat.reshape(output.shape)
-            reference = _exact_reference(kernel, image, img_key)
-            return (compute_psnr(reference, output), compute_mse(reference, output))
-
-        cached = _QUALITY_MEMO.get(memo_key, score)
+        bits = record.element_bits.astype(np.int64).copy()
+        bits[bits == 0] = 1  # uncomputed elements: worst-case budget
+        ctx = ApproxContext(alu_bits=bits, mem_bits=8, seed=seed + record.frame_id)
+        output = kernel.run(image, ctx)
+        if policy is not None and record.exposures:
+            failure_model = RetentionFailureModel(
+                policy, seed=seed + _FAILURE_SEED_STRIDE * (record.frame_id + 1)
+            )
+            flat = output.reshape(-1).copy()
+            for outage_ticks, elements_done in record.exposures:
+                if elements_done <= 0:
+                    continue
+                region = flat[: min(elements_done, flat.size)]
+                flat[: region.size] = failure_model.corrupt_words(
+                    region, outage_ticks
+                )
+            output = flat.reshape(output.shape)
+        reference = _exact_reference(kernel, image)
         scores.append(
             FrameQuality(
                 frame_id=record.frame_id,
-                psnr_db=cached[0],
-                mse=cached[1],
+                psnr_db=compute_psnr(reference, output),
+                mse=compute_mse(reference, output),
                 coverage=record.coverage,
                 mean_bits=record.mean_bits,
                 completed_incidentally=record.completed_incidentally,

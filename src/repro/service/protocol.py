@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -41,7 +42,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..analysis import telemetry
 from ..analysis.engine import (
@@ -122,6 +123,12 @@ class Campaign:
         return len(self.tasks)
 
 
+@functools.lru_cache(maxsize=None)
+def _field_names(cls) -> FrozenSet[str]:
+    """The field names of dataclass ``cls``, computed once per class."""
+    return frozenset(f.name for f in dataclasses.fields(cls))
+
+
 def _build(cls, data: object, what: str):
     """Construct a dataclass from a JSON object, with strict fields.
 
@@ -134,7 +141,7 @@ def _build(cls, data: object, what: str):
         raise ConfigurationError(
             f"{what} must be a JSON object, got {type(data).__name__}"
         )
-    known = {f.name for f in dataclasses.fields(cls)}
+    known = _field_names(cls)
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigurationError(

@@ -3,7 +3,7 @@
 Mirrors ``tests/test_engine_grid.py`` for :class:`ExecutiveTask`: cache
 keys must cover every semantic knob, grids must be worker-count
 invariant, disk round-trips must be exact, warm caches must serve
-without recomputation, and the memoised post-hoc quality replay must
+without recomputation, and the post-hoc quality replay must
 match :meth:`IncidentalExecutive.frame_quality` bit for bit.
 """
 
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import engine
-from repro.core import executive as core_executive
 from repro.errors import ConfigurationError, EngineExecutionError
 
 DURATION = 0.4
@@ -190,7 +189,7 @@ def test_warm_cache_serves_without_recompute(tmp_path, monkeypatch):
 
     # Both the batch tier and the per-task run build the executive.
     monkeypatch.setattr(engine.ExecutiveTask, "build_executive", _boom)
-    # Disk hits, also after the quality memo is dropped.
+    # Disk hits, also after the exact-reference memo is dropped.
     assert engine.executive_results_equal(first, _run_one(task))
     engine.clear_memory_cache()
     assert engine.executive_results_equal(first, _run_one(task))
@@ -260,28 +259,6 @@ def test_executive_frame_quality_matches_inline_replay():
         task, result, apply_retention_decay=False
     )
     assert _quality_tuples(no_decay) == _quality_tuples(no_decay_replayed)
-
-
-def test_quality_replay_is_memoised():
-    task = _task(minbits=4, frame_period_ticks=2_500)
-    result = _run_one(task)
-    first = engine.executive_frame_quality(task, result, min_coverage=0.999)
-    calls = {"n": 0}
-    original = core_executive.ApproxContext
-
-    class _CountingContext(original):
-        def __init__(self, *args, **kwargs):
-            calls["n"] += 1
-            super().__init__(*args, **kwargs)
-
-    core_executive.ApproxContext = _CountingContext
-    try:
-        again = engine.executive_frame_quality(task, result, min_coverage=0.999)
-    finally:
-        core_executive.ApproxContext = original
-    assert calls["n"] == 0  # every frame tuple was served from the memo
-    assert _quality_tuples(first) == _quality_tuples(again)
-    core_executive.clear_quality_memo()
 
 
 def test_quality_replay_frames_are_independent_of_grid_point():

@@ -7,6 +7,13 @@ bit-for-bit equal while the recorded
 schedule exactly.
 """
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import engine, faults, telemetry
@@ -142,6 +149,49 @@ def test_fixed_grid_pool_hang_degrades_and_stays_bit_exact():
     assert report.pool_failures == 1
     assert report.degraded
     assert report.failed == 0
+
+
+def test_abandoned_pool_does_not_hold_the_process_open():
+    # concurrent.futures joins every worker at interpreter exit, so an
+    # abandoned pool's hung worker would keep this process alive for
+    # the whole 60 s hang unless the engine kills it.
+    script = textwrap.dedent(
+        """
+        from repro.analysis import engine, faults, telemetry
+        engine.configure(use_cache=False)
+        spec = engine.GridSpec(
+            profile_ids=(1, 2), bits=(8, 3), kernels=("median",), duration_s=0.4
+        )
+        clean = engine.run_grid(spec, workers=1)
+        plan = faults.FaultPlan.seeded(
+            3, n_tasks=len(spec.tasks()), hangs=1, hang_s=60.0, scope="fixed"
+        )
+        with faults.injected(plan):
+            faulty = engine.run_grid(
+                spec, workers=2, task_timeout_s=0.5, retry_backoff_s=0.0
+            )
+        assert clean.equal(faulty)
+        assert telemetry.last_report(kind="fixed").degraded
+        print("ok")
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=20)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the child and its workers
+        proc.communicate()
+        raise
+    assert proc.returncode == 0, err
+    assert out == "ok\n"
 
 
 def test_out_of_scope_plan_never_fires():

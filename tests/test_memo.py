@@ -1,4 +1,4 @@
-"""``LruMemo``: the bounded memo behind the trace and frame-quality memos."""
+"""``LruMemo``: the bounded memo behind the trace and exact-reference memos."""
 
 import sys
 import threading

@@ -332,6 +332,18 @@ class TestFaultDeterminism:
         assert point.aborted_backups == 0
         assert point.availability > 0.0
 
+    def test_availability_floor_and_monotone_fall_with_rate(self):
+        campaign = ResilienceCampaign(
+            kernels=("median",),
+            policies=("linear",),
+            rates=(0.0, 0.1, 0.3),
+            duration_s=1.5,
+        )
+        curve = campaign.run().availability_curve("median", "linear")
+        values = [availability for _, availability in curve]
+        assert values[0] >= 0.5, values
+        assert all(b <= a + 1e-9 for a, b in zip(values, values[1:])), values
+
 
 class TestPointValidation:
     def _point(self):

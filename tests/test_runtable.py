@@ -1,4 +1,4 @@
-"""Run-table analytics: canonical CSV, statistics, perf trajectory.
+"""Run-table analytics: canonical CSV and statistics.
 
 The contract under test extends the repo's bit-exactness guarantee
 upward: `run_table.csv` must be byte-identical whether built offline
@@ -6,8 +6,7 @@ from the engine, via the CLI, or streamed from the campaign service —
 for every campaign kind and every engine tier — because every config
 and outcome cell derives only from the task value objects and the
 bit-exact cached payloads. The statistics pass must reproduce
-identical CIs and effect sizes from identical seeds, and the
-perf-trajectory gate must fire on an injected synthetic regression.
+identical CIs and effect sizes from identical seeds.
 """
 
 import json
@@ -17,7 +16,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.analysis import engine, runtable, stats, telemetry, trajectory
+from repro.analysis import engine, runtable, stats, telemetry
 from repro.analysis.engine import ExecutiveTask, FixedBitTask, GridSpec
 from repro.errors import ConfigurationError
 from repro.obs.export import render_prometheus
@@ -462,97 +461,6 @@ class TestRepetitionSweep:
     def test_unsupported_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             stats.repetition_sweep("resilience", [], n_reps=2)
-
-
-# -- perf trajectory -------------------------------------------------------------
-
-
-class TestTrajectory:
-    def test_flatten_numeric(self):
-        flat = trajectory.flatten_numeric(
-            {
-                "a": 1,
-                "b": {"c": 2.5, "skip": "text"},
-                "ok": True,
-                "list": [1, {"d": 4}],
-                "null": None,
-            }
-        )
-        assert flat == {
-            "a": 1.0,
-            "b.c": 2.5,
-            "ok": 1.0,
-            "list.0": 1.0,
-            "list.1.d": 4.0,
-        }
-
-    def test_directions(self):
-        assert trajectory.metric_direction("speedup_vs_parallel") == "higher"
-        assert trajectory.metric_direction("rows_per_s") == "higher"
-        assert trajectory.metric_direction("bit_exact") == "higher"
-        assert trajectory.metric_direction("stream_overhead") == "lower"
-        assert trajectory.metric_direction("p99_ms") == "lower"
-        assert trajectory.metric_direction("wall_s") is None
-        assert trajectory.metric_direction("n_tasks") is None
-
-    def test_gate_fires_on_injected_regression(self, tmp_path):
-        baseline_dir = tmp_path / "base"
-        current_dir = tmp_path / "cur"
-        baseline_dir.mkdir()
-        current_dir.mkdir()
-        snapshot = {"benchmark": "x", "speedup": 10.0, "wall_s": 1.0,
-                    "bit_exact": True}
-        (baseline_dir / "BENCH_x.json").write_text(json.dumps(snapshot))
-        regressed = dict(snapshot, speedup=8.0, wall_s=50.0, bit_exact=False)
-        (current_dir / "BENCH_x.json").write_text(json.dumps(regressed))
-        regs = trajectory.check_regressions(
-            trajectory.bench_rows(baseline_dir),
-            trajectory.bench_rows(current_dir),
-            tolerance=0.1,
-        )
-        names = sorted(r.metric for r in regs)
-        # speedup regressed and bit_exact flipped; wall_s is ungated.
-        assert names == ["bit_exact", "speedup"]
-        text = trajectory.format_regressions(regs)
-        assert "speedup" in text and "-20.0%" in text
-
-    def test_gate_quiet_within_tolerance(self, tmp_path):
-        d = tmp_path
-        (d / "BENCH_x.json").write_text(
-            json.dumps({"speedup": 10.0, "wall_s": 1.0})
-        )
-        rows = trajectory.bench_rows(d)
-        wobbly = [dict(r) for r in rows]
-        for row in wobbly:
-            if row["metric"] == "speedup":
-                row["value"] = 9.5  # -5% < 10% tolerance
-        assert trajectory.check_regressions(rows, wobbly, tolerance=0.1) == []
-        assert "no trajectory regressions" in trajectory.format_regressions([])
-
-    def test_new_metrics_do_not_fail_gate(self):
-        base = [{"bench": "x", "metric": "speedup", "value": 10.0}]
-        cur = [
-            {"bench": "x", "metric": "speedup", "value": 10.0},
-            {"bench": "y", "metric": "speedup", "value": 1.0},
-        ]
-        assert trajectory.check_regressions(base, cur) == []
-
-    def test_repo_snapshots_fold(self):
-        import pathlib
-
-        root = pathlib.Path(__file__).parent.parent
-        rows = trajectory.bench_rows(root)
-        assert rows, "repo should carry BENCH_*.json snapshots"
-        benches = {row["bench"] for row in rows}
-        assert "runtable" in benches
-        blob = trajectory.history_csv_bytes(rows)
-        assert blob.startswith(b"bench,metric,value,direction\n")
-        assert trajectory.history_csv_bytes(rows) == blob
-
-    def test_corrupt_snapshot_is_loud(self, tmp_path):
-        (tmp_path / "BENCH_bad.json").write_text("{not json")
-        with pytest.raises(ConfigurationError):
-            trajectory.bench_rows(tmp_path)
 
 
 # -- prometheus HELP lines (satellite) -------------------------------------------
