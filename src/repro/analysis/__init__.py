@@ -1,7 +1,7 @@
 """Experiment runners and reporting.
 
 One runner per paper artifact (figure or table), each returning a
-structured result that the benchmark harness regenerates and
+structured result that ``repro run <id>`` regenerates and
 EXPERIMENTS.md records. See DESIGN.md's experiment index for the
 mapping.
 """

@@ -122,7 +122,6 @@ from ..nvm.retention import STANDARD_POLICY_NAMES, policy_by_name
 from ..obs import capture as obs_capture
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
-from ..system.config import SystemConfig
 from ..system.metrics import SimulationResult
 from ..system.simulator import simulate_fixed_bits
 
@@ -1873,7 +1872,7 @@ def _batch_enabled(engine: str) -> bool:
     behaviour in ways the batch kernels do not replicate, and a host
     without the accelerator has no kernels to run.
     """
-    if engine not in ("auto", "fast"):
+    if engine != "auto":
         return False
     if faults.active() is not None:
         return False
@@ -2504,7 +2503,7 @@ class ExecutiveTask(_ExecutiveConfigMixin):
     def run(self, engine: str = "auto", tracer=None) -> ExecutiveResult:
         """Execute the simulation (no caching at this level).
 
-        Untraced ``"auto"``/``"fast"`` runs replay as a one-lane C plan;
+        Untraced ``"auto"`` runs replay as a one-lane C plan;
         an enabled ``tracer`` or a lane the kernel refuses takes the
         reference loop (see :meth:`IncidentalExecutive.run`).
         """

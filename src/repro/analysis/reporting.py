@@ -1,6 +1,6 @@
 """Plain-text table/series formatting for experiment outputs.
 
-The paper's artifacts are figures; our benchmark harness regenerates
+The paper's artifacts are figures; ``repro run <id>`` regenerates
 their underlying data series and prints them as aligned text tables so
 a terminal diff against EXPERIMENTS.md is enough to audit a run.
 """

@@ -243,8 +243,8 @@ RUN_TABLE_COLUMNS: Tuple[Column, ...] = (
            "Re-attempts after crashes, hangs or corrupt payloads "
            "(empty in the canonical table)."),
     Column("engine", "provenance", "-", "wall", _ALL,
-           "Engine selector the run used: auto, fast or reference "
-           "(empty in the canonical table)."),
+           "Engine selector the run used: auto or reference (empty "
+           "in the canonical table)."),
     Column("job", "provenance", "-", "wall", _ALL,
            "Campaign-service job id (empty outside the service; pass "
            "job= to the offline writer to reproduce a service table)."),

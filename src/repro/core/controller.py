@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from .._validation import check_in_range, check_int_in_range
-from ..errors import ConfigurationError
 from ..nvp.energy_model import EnergyModel
 
 __all__ = ["ApproximationControlUnit", "DynamicBitAllocator", "IncidentalAllocator"]

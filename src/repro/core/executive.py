@@ -486,8 +486,8 @@ class IncidentalExecutive(IncidentalAllocator):
 
         ``engine`` selects the implementation: ``"reference"`` (the
         default) drives the per-tick :class:`NVPSystemSimulator` loop;
-        ``"auto"``/``"fast"`` replay the run as a one-lane plan through
-        the compiled kernel of :mod:`repro.core.batchexec` (results are
+        ``"auto"`` replays the run as a one-lane plan through the
+        compiled kernel of :mod:`repro.core.batchexec` (results are
         identical by contract, enforced by
         ``tests/test_executive_equivalence.py``). The kernel only reads
         the executive, so any lane it refuses (see
@@ -497,9 +497,9 @@ class IncidentalExecutive(IncidentalAllocator):
         on the same, untouched executive. Construct a fresh executive
         per run all the same: the reference loop consumes it.
         """
-        if engine not in ("auto", "fast", "reference"):
+        if engine not in ("auto", "reference"):
             raise SimulationError(
-                f"engine must be 'auto', 'fast' or 'reference', got {engine!r}"
+                f"engine must be 'auto' or 'reference', got {engine!r}"
             )
         if engine != "reference" and executive_refusal(self) is None:
             outcome = run_executive_batch([self])[0]

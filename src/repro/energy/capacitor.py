@@ -19,8 +19,6 @@ Both expose the same tick-level interface (``charge`` / ``draw`` /
 
 from __future__ import annotations
 
-import numpy as np
-
 from .._validation import check_in_range, check_non_negative, check_positive
 from ..errors import EnergyError
 from ..obs.tracer import NULL_TRACER

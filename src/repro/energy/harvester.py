@@ -17,7 +17,7 @@ NVP platform behind front ends with different statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np

@@ -17,7 +17,7 @@ the budget that was available during the ``k``-th powered tick.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

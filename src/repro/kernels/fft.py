@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_int_in_range
 from ..errors import KernelError
 from .base import ApproxContext, Kernel
 

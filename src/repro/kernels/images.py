@@ -151,9 +151,9 @@ def rgb_scene(size: int = 64, seed: int = 7) -> np.ndarray:
 def save_pgm(image: np.ndarray, path) -> None:
     """Write a grayscale image as a binary PGM (P5) file.
 
-    The paper's Figures 11/13/17/26 are visual outputs; this lets the
-    benchmark harness archive inspectable equivalents without any
-    plotting dependency.
+    The paper's Figures 11/13/17/26 are visual outputs; this lets
+    ``scripts/make_report.py`` archive inspectable equivalents without
+    any plotting dependency.
     """
     image = np.asarray(image)
     if image.ndim != 2:
@@ -175,5 +175,9 @@ def load_pgm(path) -> np.ndarray:
     if len(parts) < 4:
         raise KernelError(f"{path!r} has a malformed PGM header")
     width, height = (int(v) for v in parts[1].split())
+    if len(parts[3]) < width * height:
+        raise KernelError(
+            f"{path!r} is truncated: {len(parts[3])} of {width * height} pixel bytes"
+        )
     pixels = np.frombuffer(parts[3][: width * height], dtype=np.uint8)
     return pixels.reshape(height, width).astype(np.int64)

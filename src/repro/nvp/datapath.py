@@ -12,7 +12,7 @@ executive can charge energy per operation.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

@@ -10,7 +10,7 @@ tracks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from .._validation import check_int_in_range
 from ..errors import ProcessorError
 from ..nvm.retention import RetentionPolicy

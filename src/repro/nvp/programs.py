@@ -13,8 +13,6 @@ ROM arrays, and the outputs are generated through GPIO").
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from .._validation import check_int_in_range

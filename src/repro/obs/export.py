@@ -1,12 +1,10 @@
 """Trace exporters: Chrome trace-event JSON, JSONL, and text summaries.
 
-The tick-domain records a :class:`~repro.obs.tracer.Tracer` collects map
-directly onto the Chrome trace-event format (the ``ph``/``ts``/``dur``
+The tick-stamped records a :class:`~repro.obs.tracer.Tracer` collects
+map directly onto the Chrome trace-event format (the ``ph``/``ts``/``dur``
 schema consumed by ``chrome://tracing`` and Perfetto). One simulator
 tick is 0.1 ms, so ``ts = tick * 100`` puts the timeline in the
-microseconds Chrome expects. Wall-domain profiling spans keep their own
-host-microsecond timeline and land on a dedicated ``profile`` thread
-row so device time and host time never share an axis.
+microseconds Chrome expects.
 
 Multi-task captures (a grid run with ``--trace-out``) export each task
 label as its own Chrome *process*, named via ``process_name`` metadata
@@ -36,37 +34,26 @@ __all__ = [
 #: Microseconds per simulator tick (TICK_S = 1e-4 s).
 TICK_US = 100.0
 
-#: Chrome thread ids: device events on tid 0, profiling on tid 1.
-_TID_DEVICE = 0
-_TID_PROFILE = 1
-
 _ALLOWED_PH = {"X", "i", "I", "M", "B", "E", "C"}
 
 
 def _event_for_record(record: Mapping[str, object], pid: int) -> Dict[str, object]:
     """Translate one tracer record into a Chrome trace event."""
-    cat = str(record.get("cat", "device"))
     event: Dict[str, object] = {
         "name": str(record.get("name", "")),
-        "cat": cat,
+        "cat": str(record.get("cat", "device")),
         "ph": str(record.get("ph", "i")),
         "pid": pid,
+        "tid": 0,
+        "ts": float(record.get("tick", 0)) * TICK_US,
         "args": dict(record.get("args", {}) or {}),
     }
-    if cat == "profile":
-        event["tid"] = _TID_PROFILE
-        event["ts"] = float(record.get("wall_us", 0.0))
-        if event["ph"] == "X":
-            event["dur"] = float(record.get("dur_us", 0.0))
+    if event["ph"] == "X":
+        event["dur"] = float(record.get("dur", 0)) * TICK_US
     else:
-        event["tid"] = _TID_DEVICE
-        event["ts"] = float(record.get("tick", 0)) * TICK_US
-        if event["ph"] == "X":
-            event["dur"] = float(record.get("dur", 0)) * TICK_US
-        else:
-            # Chrome instants need a scope; "t" pins them to the thread.
-            event["s"] = "t"
-        event["args"].setdefault("tick", record.get("tick", 0))
+        # Chrome instants need a scope; "t" pins them to the thread.
+        event["s"] = "t"
+    event["args"].setdefault("tick", record.get("tick", 0))
     return event
 
 

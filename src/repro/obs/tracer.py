@@ -6,16 +6,11 @@ and the incidental executive all emit events into one :class:`Tracer`
 so a whole run can be replayed on a timeline (exported to Chrome
 trace-event JSON by :mod:`repro.obs.export`).
 
-Two time domains coexist in one trace:
-
-* **tick-domain** events (``cat != "profile"``): device-level spans and
-  instants stamped with the simulator's 0.1 ms tick index. These are
-  pure functions of the simulated trajectory and therefore fully
-  deterministic — the trace-determinism tests compare them byte for
-  byte across repeated runs.
-* **wall-domain** events (``cat == "profile"``): per-phase wall-time
-  spans recorded by :meth:`Tracer.phase` around host-side phases.
-  These carry host timings and are excluded from determinism checks.
+Every event is a device-level span or instant stamped with the
+simulator's 0.1 ms tick index. Events are pure functions of the
+simulated trajectory and therefore fully deterministic: the
+trace-determinism tests compare them byte for byte across repeated
+runs.
 
 The zero-overhead contract
 --------------------------
@@ -50,25 +45,10 @@ __all__ = [
 
 #: Verbosity levels, least to most verbose. ``"off"`` constructs a
 #: disabled tracer (every flag False, nothing recorded); ``"spans"``
-#: records state-machine spans, profiling phases and metrics;
+#: records state-machine spans and metrics;
 #: ``"events"`` adds per-event instants (backups, restores, faults,
 #: frame lifecycle); ``"debug"`` adds high-rate diagnostics.
 TRACE_LEVELS = ("off", "spans", "events", "debug")
-
-
-class _NullPhase:
-    """Reusable no-op context manager for :meth:`NullTracer.phase`."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_PHASE = _NullPhase()
 
 
 class NullTracer:
@@ -99,12 +79,6 @@ class NullTracer:
     def span(self, name, start_tick, end_tick, cat="device", args=None) -> None:
         pass
 
-    def wall_span(self, name, start_us, dur_us, cat="profile", args=None) -> None:
-        pass
-
-    def phase(self, name: str) -> _NullPhase:
-        return _NULL_PHASE
-
     def to_payload(self) -> Dict[str, object]:
         return {"records": [], "metrics": {}, "dropped": 0}
 
@@ -114,42 +88,13 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-class _Phase:
-    """Context manager recording one wall-time profiling span."""
-
-    __slots__ = ("_tracer", "_name", "_start")
-
-    def __init__(self, tracer: "Tracer", name: str) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> None:
-        from time import perf_counter
-
-        self._start = perf_counter()
-
-    def __exit__(self, *exc) -> bool:
-        from time import perf_counter
-
-        elapsed_us = (perf_counter() - self._start) * 1e6
-        start_us = self._tracer._wall_cursor_us
-        self._tracer._wall_cursor_us = start_us + elapsed_us
-        self._tracer.wall_span(self._name, start_us, elapsed_us)
-        return False
-
-
 class Tracer:
     """Recording tracer: an event list plus a :class:`MetricsRegistry`.
 
     Events are stored as plain dicts so they cross process-pool
     boundaries (the engine returns them from workers) and export without
-    further translation:
-
-    * tick-domain: ``{"name", "cat", "ph": "i"|"X", "tick", "dur", "args"}``
-      (``dur`` in ticks, spans only);
-    * wall-domain: ``{"name", "cat": "profile", "ph": "X", "wall_us",
-      "dur_us", "args"}``.
+    further translation: ``{"name", "cat", "ph": "i"|"X", "tick", "dur",
+    "args"}`` (``dur`` in ticks, spans only).
 
     ``max_events`` bounds memory on pathological runs; overflow is
     counted in ``dropped``, never raised.
@@ -166,7 +111,6 @@ class Tracer:
         "max_events",
         "dropped",
         "tick",
-        "_wall_cursor_us",
     )
 
     def __init__(
@@ -187,7 +131,6 @@ class Tracer:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.dropped = 0
         self.tick = 0
-        self._wall_cursor_us = 0.0
 
     # -- event recording ------------------------------------------------
 
@@ -239,37 +182,6 @@ class Tracer:
                 "args": {} if args is None else args,
             }
         )
-
-    def wall_span(
-        self,
-        name: str,
-        start_us: float,
-        dur_us: float,
-        cat: str = "profile",
-        args: Optional[Dict[str, object]] = None,
-    ) -> None:
-        """Record a wall-time span (host microseconds, profiling layer)."""
-        if not self.enabled:
-            return
-        self._push(
-            {
-                "name": name,
-                "cat": cat,
-                "ph": "X",
-                "wall_us": float(start_us),
-                "dur_us": float(dur_us),
-                "args": {} if args is None else args,
-            }
-        )
-
-    def phase(self, name: str) -> _Phase:
-        """Context manager timing one host-side phase (wall domain).
-
-        Consecutive phases stack end to end on a synthetic wall
-        timeline starting at 0 µs, so the profile row reads as a
-        breakdown of the run regardless of when the host executed it.
-        """
-        return _Phase(self, name)
 
     # -- hand-off --------------------------------------------------------
 

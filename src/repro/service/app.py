@@ -40,7 +40,6 @@ from urllib.parse import parse_qs, urlsplit
 from ..analysis.engine import TRACE_MEMO, ShardedResultCache, configure
 from ..errors import ConfigurationError, QueueFullError, ServiceDrainingError
 from ..obs.export import render_prometheus
-from ..obs.metrics import MetricsRegistry
 from .journal import JobJournal
 from .queue import CampaignQueue
 

@@ -85,7 +85,7 @@ __all__ = [
 
 CAMPAIGN_KINDS = ("grid", "executive", "resilience", "fleet")
 
-_ENGINE_CHOICES = ("auto", "fast", "reference")
+_ENGINE_CHOICES = ("auto", "reference")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ via :func:`repro.energy.management.derive_thresholds`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .._validation import check_int_in_range, check_non_negative, check_positive
 from ..energy.capacitor import Capacitor

@@ -10,7 +10,7 @@ simulation to kernel output quality (Figures 17-19).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np

@@ -23,7 +23,7 @@ couples this simulation to kernel output quality (Figures 17-19).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -376,8 +376,8 @@ def simulate_fixed_bits(
     from 8 down to 1 (and ``policy`` across retention shapes) and
     compare forward progress and backup counts.
 
-    ``engine`` selects the implementation: ``"auto"``/``"fast"`` replay
-    the run as a one-lane plan through the compiled kernel of
+    ``engine`` selects the implementation: ``"auto"`` replays the run
+    as a one-lane plan through the compiled kernel of
     :mod:`repro.system.batchsim` (the default — results are identical
     by contract, enforced by ``tests/test_engine_equivalence.py``);
     ``"reference"`` forces the per-tick loop of
@@ -392,9 +392,9 @@ def simulate_fixed_bits(
     Tracing only reads device state, so a traced run returns the
     untraced result (``tests/test_obs_differential.py``).
     """
-    if engine not in ("auto", "fast", "reference"):
+    if engine not in ("auto", "reference"):
         raise SimulationError(
-            f"engine must be 'auto', 'fast' or 'reference', got {engine!r}"
+            f"engine must be 'auto' or 'reference', got {engine!r}"
         )
     if (
         engine != "reference"

@@ -2,8 +2,9 @@
 
 These are the reproduction's acceptance tests: each asserts the
 *qualitative* properties the paper pins down for its figure or table
-(orderings, crossovers, approximate factors) on shortened runs. The
-benchmark harness regenerates the full-size artifacts.
+(orderings, crossovers, approximate factors) on shortened runs.
+``repro run <id>`` regenerates the full-size artifacts, and
+``tests/test_paper_claims.py`` checks the committed ones.
 """
 
 import numpy as np

@@ -1,6 +1,6 @@
 """Differential suite: the fast path must be bit-exact vs the reference.
 
-``simulate_fixed_bits(engine="fast")`` replays one task as a one-lane
+``simulate_fixed_bits(engine="auto")`` replays one task as a one-lane
 plan through the compiled kernel (:mod:`repro.system.batchsim`), and
 it is only allowed to do so because of this file: every randomized
 configuration below runs both that path and the per-tick reference
@@ -37,7 +37,7 @@ def _trace(profile_id, duration_s):
 
 def _assert_identical(trace, bits, **kwargs):
     ref = simulate_fixed_bits(trace, bits, engine="reference", **kwargs)
-    fast = simulate_fixed_bits(trace, bits, engine="fast", **kwargs)
+    fast = simulate_fixed_bits(trace, bits, engine="auto", **kwargs)
     assert isinstance(fast, SimulationResult)
     assert simulation_results_equal(ref, fast), (
         f"fast path diverged (bits={bits}, kwargs={kwargs});"
@@ -155,8 +155,9 @@ def test_spiky_synthetic_trace_bit_exact():
 
 def test_engine_argument_validation(short_trace):
     """Unknown engine names are rejected up front."""
-    with pytest.raises(SimulationError, match="engine must be"):
-        simulate_fixed_bits(short_trace, 8, engine="warp")
+    for engine in ("warp", "fast"):
+        with pytest.raises(SimulationError, match="engine must be"):
+            simulate_fixed_bits(short_trace, 8, engine=engine)
 
 
 def test_fast_path_error_parity(dead_trace):
@@ -165,4 +166,4 @@ def test_fast_path_error_parity(dead_trace):
     with pytest.raises(SimulationError, match="can never start"):
         simulate_fixed_bits(dead_trace, 8, config=config, engine="reference")
     with pytest.raises(SimulationError, match="can never start"):
-        simulate_fixed_bits(dead_trace, 8, config=config, engine="fast")
+        simulate_fixed_bits(dead_trace, 8, config=config, engine="auto")

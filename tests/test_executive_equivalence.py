@@ -1,6 +1,6 @@
 """Differential suite: the fast executive must be bit-exact vs the reference.
 
-``IncidentalExecutive.run(engine="fast")`` replays one executive as a
+``IncidentalExecutive.run(engine="auto")`` replays one executive as a
 one-lane plan through the compiled kernel (:mod:`repro.core.batchexec`),
 and it is only allowed to do so because of this file: every randomized
 configuration below runs the incidental executive both through that
@@ -65,7 +65,7 @@ def _executive(trace, kernel="median", minbits=2, maxbits=8, policy="linear",
 def _assert_identical(make_executive):
     """Build the executive twice (one run each) and diff the engines."""
     ref = make_executive().run(engine="reference")
-    fast = make_executive().run(engine="fast")
+    fast = make_executive().run(engine="auto")
     assert executive_results_equal(ref, fast), (
         "fast executive diverged:"
         f" ref frames={len(ref.frames)} fast frames={len(fast.frames)}"
@@ -177,8 +177,9 @@ def test_single_frame_stream():
 
 def test_engine_argument_is_validated():
     executive = _executive(_trace(1, 0.3))
-    with pytest.raises(SimulationError, match="engine must be"):
-        executive.run(engine="warp")
+    for engine in ("warp", "fast"):
+        with pytest.raises(SimulationError, match="engine must be"):
+            executive.run(engine=engine)
 
 
 def test_auto_engine_matches_reference():
@@ -194,7 +195,7 @@ def test_impossible_start_raises_identically():
     with pytest.raises(SimulationError) as ref_exc:
         _executive(trace, config=config).run(engine="reference")
     with pytest.raises(SimulationError) as fast_exc:
-        _executive(trace, config=config).run(engine="fast")
+        _executive(trace, config=config).run(engine="auto")
     assert str(ref_exc.value) == str(fast_exc.value)
 
 

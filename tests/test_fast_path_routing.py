@@ -1,8 +1,7 @@
 """Which implementation a single task runs on.
 
-An untraced, fault-free task with ``engine="auto"`` (or its alias
-``"fast"``) replays as a one-lane plan through the compiled kernel and
-never builds the per-tick :class:`NVPSystemSimulator`. An enabled
+An untraced, fault-free task with ``engine="auto"`` replays as a
+one-lane plan through the compiled kernel and never builds the per-tick :class:`NVPSystemSimulator`. An enabled
 tracer, a resilience config or ``engine="reference"`` takes the
 reference loop without touching the kernel, and so does any lane the
 kernel refuses. These tests count kernel calls and simulator
@@ -69,7 +68,7 @@ def _executive_task(**overrides):
 
 
 @needs_accel
-@pytest.mark.parametrize("engine", ["auto", "fast"])
+@pytest.mark.parametrize("engine", ["auto"])
 def test_untraced_fixed_run_takes_the_kernel(calls, engine):
     task = _fixed_task()
     simulate_fixed_bits(task.build_trace(), task.bits,

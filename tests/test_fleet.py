@@ -7,7 +7,6 @@ chunk-sharded batch tier, ``fleet-`` prefixed cache entries, and the
 ``repro-experiments`` artifact registry.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis import telemetry

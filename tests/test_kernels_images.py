@@ -123,3 +123,34 @@ class TestPgmIO:
         save_pgm(image, path)
         out = load_pgm(path)
         assert out.max() == 255 and out.min() == 0
+
+    def test_rejects_truncated(self, tmp_path):
+        from repro.kernels.images import load_pgm, save_pgm
+
+        path = tmp_path / "short.pgm"
+        save_pgm(make_scene(16, "mixed", seed=3), path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(KernelError, match="255 of 256"):
+            load_pgm(path)
+
+
+def test_committed_images_equal_a_fresh_dump(tmp_path):
+    """``scripts/make_report.py`` rewrites every committed PGM unchanged."""
+    import importlib.util
+    import pathlib
+
+    from repro.kernels.images import load_pgm
+
+    root = pathlib.Path(__file__).parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "make_report", root / "scripts" / "make_report.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.dump_images(tmp_path)
+    committed = sorted((root / "benchmarks" / "results" / "images").glob("*.pgm"))
+    assert [p.name for p in committed] == sorted(p.name for p in tmp_path.iterdir())
+    assert len(committed) == 15
+    for path in committed:
+        assert load_pgm(path).shape == (64, 64), path.name
+        assert path.read_bytes() == (tmp_path / path.name).read_bytes(), path.name

@@ -15,7 +15,6 @@ from repro.obs import (
     TRACE_LEVELS,
     Histogram,
     MetricsRegistry,
-    NullTracer,
     Tracer,
     resolve_tracer,
 )
@@ -53,18 +52,11 @@ class TestNullTracer:
     def test_methods_are_noops(self):
         NULL_TRACER.instant("x")
         NULL_TRACER.span("x", 0, 10)
-        NULL_TRACER.wall_span("x", 0.0, 1.0)
-        with NULL_TRACER.phase("setup"):
-            pass
         assert NULL_TRACER.to_payload() == {
             "records": [],
             "metrics": {},
             "dropped": 0,
         }
-
-    def test_phase_reuses_one_context_manager(self):
-        # The whole point: no per-phase allocation on the disabled path.
-        assert NULL_TRACER.phase("a") is NULL_TRACER.phase("b")
 
     def test_resolve_tracer(self):
         assert resolve_tracer(None) is NULL_TRACER
@@ -108,18 +100,6 @@ class TestTracerRecording:
         tracer = Tracer("spans")
         tracer.span("outage", 100, 90)
         assert tracer.records[0]["dur"] == 0
-
-    def test_phase_spans_stack_end_to_end(self):
-        tracer = Tracer("spans")
-        with tracer.phase("setup"):
-            pass
-        with tracer.phase("replay"):
-            pass
-        first, second = tracer.records
-        assert first["cat"] == "profile" and second["cat"] == "profile"
-        assert second["wall_us"] == pytest.approx(
-            first["wall_us"] + first["dur_us"]
-        )
 
     def test_max_events_cap_counts_drops(self):
         tracer = Tracer("events", max_events=3)
@@ -211,8 +191,6 @@ def _sample_records():
              "dur": 5, "args": {}},
             {"name": "backup", "cat": "nvp", "ph": "i", "tick": 20,
              "args": {"energy_uj": 1.25}},
-            {"name": "engine.replay", "cat": "profile", "ph": "X",
-             "wall_us": 0.0, "dur_us": 1500.0, "args": {}},
         ],
         "task-b": [
             {"name": "restore", "cat": "nvp", "ph": "i", "tick": 7,
@@ -240,16 +218,6 @@ class TestChromeExport:
         assert names == {"task-a", "task-b"}
         pids = {e["pid"] for e in metadata}
         assert len(pids) == 2
-
-    def test_profile_events_on_their_own_thread(self):
-        payload = chrome_trace(_sample_records())
-        replay = next(
-            e for e in payload["traceEvents"] if e["name"] == "engine.replay"
-        )
-        device = next(
-            e for e in payload["traceEvents"] if e["name"] == "outage"
-        )
-        assert replay["tid"] != device["tid"]
 
     def test_validate_reports_problems(self):
         bad = {"traceEvents": [{"name": "", "ph": "Z", "ts": -1}]}

@@ -223,7 +223,7 @@ class TestBackupRecordAborted:
 class TestRateZeroDifferential:
     def test_fixed_bits_rate0_matches_fast_path(self):
         trace = _trace()
-        fast = simulate_fixed_bits(trace, 4, engine="fast")
+        fast = simulate_fixed_bits(trace, 4, engine="auto")
         hardened = simulate_fixed_bits(
             trace, 4, engine="reference", resilience=RATE0
         )
@@ -231,7 +231,7 @@ class TestRateZeroDifferential:
 
     def test_executive_rate0_matches_fast_path(self):
         task = _exec_task()
-        fast = task.run(engine="fast")
+        fast = task.run(engine="auto")
         hardened = task.build_executive(resilience=RATE0).run(
             engine="reference"
         )
@@ -250,13 +250,13 @@ class TestRateZeroDifferential:
 
     def test_fast_executive_refuses_resilience(self):
         # The C replay cannot model faults, so it refuses the lane and
-        # engine="fast" runs the reference loop instead.
+        # engine="auto" runs the reference loop instead.
         from repro.core.batchexec import executive_refusal
 
         task = _exec_task()
         ex = task.build_executive(resilience=RATE0)
         assert "resilience" in executive_refusal(ex)
-        fast = ex.run(engine="fast")
+        fast = ex.run(engine="auto")
         ref = task.build_executive(resilience=RATE0).run(engine="reference")
         assert engine.executive_results_equal(fast, ref)
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import engine, runtable, stats, telemetry
-from repro.analysis.engine import ExecutiveTask, FixedBitTask, GridSpec
+from repro.analysis.engine import ExecutiveTask, FixedBitTask
 from repro.errors import ConfigurationError
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import MetricsRegistry
@@ -239,7 +239,7 @@ class TestByteIdentity:
         )
         assert direct.to_csv_bytes() == streamed.to_csv_bytes()
 
-    @pytest.mark.parametrize("tier", ["auto", "fast", "reference"])
+    @pytest.mark.parametrize("tier", ["auto", "reference"])
     def test_tiers_identical(self, tier, tmp_path):
         payload = dict(GRID_PAYLOAD, engine=tier)
         engine.configure(cache_dir=tmp_path / f"tier-{tier}", workers=1)

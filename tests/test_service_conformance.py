@@ -294,6 +294,7 @@ def test_malformed_campaigns_rejected_without_job(service):
         {"kind": "resilience"},
         {"kind": "fleet", "fleet": {"n_devicez": 2}},
         {"kind": "grid", "grid": {"kernels": ["median"]}, "engine": "warp"},
+        {"kind": "grid", "grid": {"kernels": ["median"]}, "engine": "fast"},
     ):
         with pytest.raises(RuntimeError, match="HTTP 400"):
             http_submit(service.base_url, bad)
