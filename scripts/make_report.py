@@ -31,9 +31,6 @@ ORDER = [
     "ablation-sources", "resilience", "fleet", "runtable",
 ]
 
-#: Kernels whose outputs the visual artifacts show.
-IMAGE_KERNELS = ("sobel", "median", "integral")
-
 
 def dump_images(out_dir: pathlib.Path) -> None:
     """Write each kernel's exact output and its ALU/memory approximations.
@@ -43,7 +40,7 @@ def dump_images(out_dir: pathlib.Path) -> None:
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     image = test_scene(64, "mixed", seed=7)
-    for name in IMAGE_KERNELS:
+    for name in ("sobel", "median", "integral"):
         kernel = create_kernel(name)
         save_pgm(kernel.run_exact(image), out_dir / f"{name}_baseline.pgm")
         for bits in (4, 1):

@@ -1,12 +1,13 @@
 """Which implementation a single task runs on.
 
 An untraced, fault-free task with ``engine="auto"`` replays as a
-one-lane plan through the compiled kernel and never builds the per-tick :class:`NVPSystemSimulator`. An enabled
-tracer, a resilience config or ``engine="reference"`` takes the
-reference loop without touching the kernel, and so does any lane the
-kernel refuses. These tests count kernel calls and simulator
-constructions to pin that routing; the equivalence suites pin that
-both routes give the same bytes.
+one-lane plan through the compiled kernel and never builds the
+per-tick :class:`NVPSystemSimulator`. An enabled tracer, a resilience
+config or ``engine="reference"`` takes the reference loop without
+touching the kernel, and so does any lane the kernel refuses. These
+tests count kernel calls and simulator constructions to pin that
+routing; the equivalence suites pin that both routes give the same
+bytes.
 """
 
 import pytest
