@@ -10,8 +10,6 @@ interrupting the processing of new data.
 Run:  python examples/wearable_camera.py
 """
 
-import numpy as np
-
 from repro import AnnotatedProgram, IncidentalExecutive, RecomputeAndCombine
 from repro.core.pragmas import IncidentalPragma, RecoverFromPragma
 from repro.core.recompute import schedule_from_trace

@@ -17,7 +17,6 @@ from .engine import (
 )
 from .faults import FaultPlan, FaultSpec
 from .reporting import format_table, format_series
-from .sweeps import QoSFrontier, SweepPoint, qos_frontier
 from .telemetry import RunReport
 
 __all__ = [
@@ -36,7 +35,4 @@ __all__ = [
     "simulation_results_equal",
     "format_table",
     "format_series",
-    "QoSFrontier",
-    "SweepPoint",
-    "qos_frontier",
 ]

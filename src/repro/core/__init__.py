@@ -3,12 +3,12 @@
 This subpackage implements, on top of the substrates, everything
 Sections 3-6 describe: the four ``#pragma ac`` annotations and their
 "compiler" (:mod:`repro.core.program`), the nonvolatile resume-point
-buffer and PC/register SIMD matching (:mod:`repro.core.resume_buffer`,
-:mod:`repro.core.simd`), the approximation control unit that turns
-income power into per-lane bit budgets (:mod:`repro.core.controller`),
-per-element precision metadata and the ``assemble`` merge engines
-(:mod:`repro.core.precision`, :mod:`repro.core.merge`),
-recompute-and-combine (:mod:`repro.core.recompute`), and the
+buffer (:mod:`repro.core.resume_buffer`), the approximation control
+unit that turns income power into per-lane bit budgets
+(:mod:`repro.core.controller`), per-element precision metadata and the
+``assemble`` merge engines (:mod:`repro.core.precision`,
+:mod:`repro.core.merge`), recompute-and-combine
+(:mod:`repro.core.recompute`), and the
 :class:`~repro.core.executive.IncidentalExecutive` that runs an
 annotated program over a power trace with roll-forward recovery and
 incidental SIMD lanes.
@@ -30,10 +30,8 @@ from .controller import (
     DynamicBitAllocator,
     IncidentalAllocator,
 )
-from .simd import SimdMatcher
 from .recompute import RecomputeAndCombine, RecomputeOutcome
 from .executive import IncidentalExecutive, ExecutiveResult, FrameRecord
-from .advisor import PolicyAdvisor, TraceFeatures
 
 __all__ = [
     "IncidentalPragma",
@@ -49,12 +47,9 @@ __all__ = [
     "ApproximationControlUnit",
     "DynamicBitAllocator",
     "IncidentalAllocator",
-    "SimdMatcher",
     "RecomputeAndCombine",
     "RecomputeOutcome",
     "IncidentalExecutive",
     "ExecutiveResult",
     "FrameRecord",
-    "PolicyAdvisor",
-    "TraceFeatures",
 ]

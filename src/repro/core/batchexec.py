@@ -47,7 +47,6 @@ __all__ = [
     "MAX_BATCH_FRAMES",
     "executive_refusal",
     "run_executive_batch",
-    "lane_tuple_index",
 ]
 
 #: Hard bound on frame arrivals the batch kernel will track per lane;
@@ -61,17 +60,6 @@ _TUP_SIZE = 8 + 64 + 512 + 4096  # 4680
 
 _POWER_RAW: Optional[np.ndarray] = None
 _FRACTION: Optional[np.ndarray] = None
-
-
-def lane_tuple_index(lanes: Sequence[int]) -> int:
-    """Table index of a lane tuple (widths 1-4, bits 1-8 per lane)."""
-    width = len(lanes)
-    idx = _TUP_OFF[width - 1]
-    mul = 1
-    for bits in lanes:
-        idx += (bits - 1) * mul
-        mul *= 8
-    return idx
 
 
 def _tuple_tables() -> tuple:

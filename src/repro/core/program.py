@@ -4,20 +4,17 @@ Section 5 splits responsibilities: the *programmer* marks approximable
 data (``incidental``), the roll-forward point
 (``incidental_recover_from``), and any recompute/assemble intent; the
 *compiler* turns those marks into hardware state — AC bits for the
-marked variables, the recovery program counter, and the mask of key
-loop variables used by the PC/register match.
+marked variables and the recovery program counter.
 
 :class:`AnnotatedProgram` performs that compiler role for a kernel:
-it validates the pragma set, resolves the retention policy, assigns
-the (behavioral) recovery PC, and synthesises the register mask.
+it validates the pragma set, resolves the retention policy and assigns
+the (behavioral) recovery PC.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import List, Optional, Sequence, Union
 
 from ..errors import PragmaError
 from ..kernels.base import Kernel
@@ -39,10 +36,6 @@ _Pragma = Union[IncidentalPragma, RecoverFromPragma, RecomputePragma, AssemblePr
 #: induction variable 'frame'").
 FRAME_LOOP_PC: int = 0x0100
 
-#: Registers the compiler marks as key loop variables (frame counter
-#: and row index in the Figure 8 example).
-KEY_LOOP_REGISTERS: Tuple[int, ...] = (0, 1)
-
 
 class AnnotatedProgram:
     """A kernel with its ``#pragma ac`` annotations, compiled.
@@ -55,21 +48,17 @@ class AnnotatedProgram:
         The annotation set. At most one ``incidental`` per variable and
         at most one ``incidental_recover_from`` are allowed; programs
         meant for the incidental executive need both at least once.
-    n_regs:
-        Register-file size used when synthesising the key-variable mask.
     """
 
     def __init__(
         self,
         kernel: Kernel,
         pragmas: Sequence[_Pragma],
-        n_regs: int = 16,
         loop_carried: bool = False,
         frame_loop_bound: Optional[int] = None,
     ) -> None:
         self.kernel = kernel
         self.pragmas: List[_Pragma] = list(pragmas)
-        self.n_regs = int(n_regs)
         #: Section 5: "Our current implementation does not support
         #: incidental SIMD optimizations for programs with loop-carried
         #: dependencies" — the compiler flags them and the hardware
@@ -91,7 +80,6 @@ class AnnotatedProgram:
         cls,
         kernel: Kernel,
         source_lines: Sequence[str],
-        n_regs: int = 16,
         loop_carried: bool = False,
     ) -> "AnnotatedProgram":
         """Build a program from C-form source lines (Figure 8 style).
@@ -111,7 +99,6 @@ class AnnotatedProgram:
         return cls(
             kernel,
             pragmas,
-            n_regs=n_regs,
             loop_carried=loop_carried,
             frame_loop_bound=bound,
         )
@@ -200,18 +187,6 @@ class AnnotatedProgram:
         if self.recover_from is None:
             raise PragmaError("program has no incidental_recover_from pragma")
         return FRAME_LOOP_PC
-
-    def key_register_mask(self) -> np.ndarray:
-        """Compiler-generated mask of key loop variables (Section 4).
-
-        Combined with the register file's comparison bit-vector to
-        confirm a resume-point match before widening SIMD.
-        """
-        mask = np.zeros(self.n_regs, dtype=bool)
-        for reg in KEY_LOOP_REGISTERS:
-            if reg < self.n_regs:
-                mask[reg] = True
-        return mask
 
     def source_form(self) -> List[str]:
         """The pragma block as C source lines."""

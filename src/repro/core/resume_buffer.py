@@ -7,9 +7,9 @@ value is overwritten (discarded in FIFO order)."
 
 Each entry records where an abandoned (incidental) computation stopped:
 the resume PC, the frame it belonged to, and how far through the frame
-it had progressed. When the running program's PC matches an entry (and
-the masked key loop variables agree — see :mod:`repro.core.simd`), the
-controller may widen SIMD and adopt the old computation as a lane.
+it had progressed. The incidental executive runs the buffered
+computations as incidental SIMD lanes, and removes an entry when its
+frame completes or resumes as the current computation.
 """
 
 from __future__ import annotations
@@ -77,14 +77,6 @@ class ResumePointBuffer:
             self.evicted_count += 1
         self._entries.append(point)
         return evicted
-
-    def match_pc(self, pc: int) -> Optional[ResumePoint]:
-        """Oldest entry whose resume PC equals ``pc`` (or ``None``)."""
-        pc = check_int_in_range(pc, "pc", 0, (1 << 16) - 1, exc=ReproError)
-        for entry in self._entries:
-            if entry.pc == pc:
-                return entry
-        return None
 
     def entries_for_frame(self, frame_id: int) -> List[ResumePoint]:
         """All entries belonging to one frame (usually 0 or 1)."""

@@ -3,8 +3,8 @@
 Models the STT-RAM backing store used for distributed backup in the
 NVP: the write-current / pulse-width / retention-time trade-off of
 Figure 4, the three retention-time shaping policies of Equations 1-3
-and Figure 5, the retention-failure (bit-decay) model behind Figure 22,
-the behavioral dynamic-retention write circuit of Figure 7, and the
+and Figure 5 (whose ``relative_write_energy`` prices every backup),
+the retention-failure (bit-decay) model behind Figure 22, and the
 multi-version data memory with per-word precision metadata described in
 Section 4.
 """
@@ -24,15 +24,7 @@ from .failures import (
     FailureCounts,
     count_retention_failures,
 )
-from .write_circuit import DynamicRetentionWriteCircuit, BitWriteRecord, WordWriteRecord
 from .memory import VersionedNVMemory, MAX_VERSIONS
-from .devices import (
-    NVMDeviceSpec,
-    DEVICE_PRESETS,
-    device_by_name,
-    endurance_lifetime_years,
-    recommend_device,
-)
 
 __all__ = [
     "STTRAMModel",
@@ -48,14 +40,6 @@ __all__ = [
     "RetentionFailureModel",
     "FailureCounts",
     "count_retention_failures",
-    "DynamicRetentionWriteCircuit",
-    "BitWriteRecord",
-    "WordWriteRecord",
     "VersionedNVMemory",
     "MAX_VERSIONS",
-    "NVMDeviceSpec",
-    "DEVICE_PRESETS",
-    "device_by_name",
-    "endurance_lifetime_years",
-    "recommend_device",
 ]

@@ -170,9 +170,7 @@ class STTRAMModel:
     def achieved_retention_s(self, current_ua: float, pulse_ns: float) -> float:
         """Retention time achieved by writing with ``current_ua``/``pulse_ns``.
 
-        Inverts :meth:`write_current_ua`; used by the write circuit to
-        check that a quantised (mirror-selected) drive still meets the
-        retention the policy asked for.
+        Inverts :meth:`write_current_ua`.
         """
         current = check_positive(current_ua, "current_ua", exc=NVMError)
         pulse = check_positive(pulse_ns, "pulse_ns", exc=NVMError)

@@ -2,9 +2,12 @@
 
 A behavioral model of the paper's modified 8051-class NVP: a simple
 five-stage pipeline with nonvolatile flip-flops, a bit-selectable
-approximate ALU and approximate data memory, a multi-version
-(power-gated) register file for incidental SIMD, and a backup/restore
-engine whose energy follows the STT-RAM retention model.
+approximate ALU and approximate data memory, and a backup/restore
+engine whose energy follows the STT-RAM retention model. An 8051-class
+interpreter, its assembler and its reference programs
+(:mod:`repro.nvp.mcu`, :mod:`repro.nvp.asm`, :mod:`repro.nvp.programs`)
+run real instruction streams: the tests check the instruction mixes'
+CPI, which turns ticks into committed instructions, against them.
 
 The RTL of the original evaluation is replaced by instruction- and
 energy-level accounting (see DESIGN.md for the substitution argument);
@@ -16,7 +19,6 @@ from .isa import InstructionClass, InstructionMix, DEFAULT_MIX
 from .energy_model import EnergyModel
 from .datapath import ApproximateALU, alu_reduce_bits
 from .memory_approx import ApproximateMemory, memory_truncate_bits, memory_quantize
-from .registers import MultiVersionRegisterFile
 from .pipeline import PipelineModel, StateSnapshot
 from .backup import BackupEngine, BackupRecord
 from .processor import NonvolatileProcessor
@@ -33,7 +35,6 @@ __all__ = [
     "ApproximateMemory",
     "memory_truncate_bits",
     "memory_quantize",
-    "MultiVersionRegisterFile",
     "PipelineModel",
     "StateSnapshot",
     "BackupEngine",

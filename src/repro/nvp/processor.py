@@ -1,12 +1,12 @@
 """The behavioral nonvolatile processor (Figure 6).
 
-``NonvolatileProcessor`` composes the energy model, pipeline sizing,
-multi-version register file and backup engine into the object the
-system-level simulator drives: "run this many cycles with these lane
-bit-budgets", "back up now", "restore now". It tracks committed
-instructions per lane — lane 0 is the current (newest-data) computation
-and lanes 1-3 are incidental SIMD lanes — which is exactly the forward
-progress accounting the paper's metrics need.
+``NonvolatileProcessor`` composes the energy model, pipeline sizing
+and backup engine into the object the system-level simulator drives:
+"run this many cycles with these lane bit-budgets", "back up now",
+"restore now". It tracks committed instructions per lane — lane 0 is
+the current (newest-data) computation and lanes 1-3 are incidental
+SIMD lanes — which is exactly the forward progress accounting the
+paper's metrics need.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .backup import BackupEngine
 from .energy_model import CYCLES_PER_TICK, EnergyModel
 from .isa import DEFAULT_MIX, InstructionMix
 from .pipeline import PipelineModel
-from .registers import MultiVersionRegisterFile
 
 __all__ = ["NonvolatileProcessor"]
 
@@ -64,9 +63,6 @@ class NonvolatileProcessor:
         self.energy_model = energy_model if energy_model is not None else EnergyModel()
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.pipeline = PipelineModel(word_bits=self.energy_model.word_bits)
-        self.registers = MultiVersionRegisterFile(
-            word_bits=self.energy_model.word_bits, versions=4
-        )
         self.resilience: Optional[DeviceResilience] = (
             DeviceResilience(resilience) if resilience is not None else None
         )

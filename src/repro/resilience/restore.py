@@ -95,11 +95,6 @@ class ResilienceConfig:
         """Total guard-word bits added to every backup image."""
         return self.guard_crc_bits * self.guard_regions
 
-    @property
-    def fault_free(self) -> bool:
-        """Whether every fault mechanism is disabled."""
-        return not self.build_fault_model().active
-
 
 @dataclass(frozen=True)
 class RestoreOutcome:

@@ -8,7 +8,6 @@ unchunked batch tier, while ``chunk_lane_indices`` itself stays a
 deterministic, lane-covering, budget-respecting pure function.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +17,6 @@ from repro.analysis import engine as engine_mod
 from repro.analysis.engine import (
     ExecutiveTask,
     FixedBitTask,
-    GridSpec,
     ResultCache,
     executive_results_equal,
     run_executive_grid,

@@ -19,7 +19,6 @@ arbitrate.
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.analysis.engine import (

@@ -13,10 +13,8 @@ other. An empty fault plan is the way to reach the per-task one-lane
 C path for a whole grid: any active plan turns the batch tier off.
 """
 
-import random
 from contextlib import nullcontext
 
-import numpy as np
 import pytest
 
 from repro.analysis import faults, telemetry

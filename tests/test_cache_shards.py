@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 from repro.analysis.engine import (
     CacheHotTier,
     FixedBitTask,
-    ResultCache,
     ShardedResultCache,
     fixed_entry_bytes,
     shard_for_name,

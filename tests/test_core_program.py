@@ -1,6 +1,5 @@
 """Tests for AnnotatedProgram (the compiler role, Section 5)."""
 
-import numpy as np
 import pytest
 
 from repro.core.pragmas import (
@@ -79,12 +78,6 @@ class TestCompiledArtefacts:
         program = AnnotatedProgram(SobelKernel(), [])
         with pytest.raises(PragmaError):
             _ = program.recovery_pc
-
-    def test_key_register_mask(self, median_program):
-        mask = median_program.key_register_mask()
-        assert mask.shape == (16,)
-        assert mask[0] and mask[1]
-        assert mask.sum() == 2
 
     def test_pragma_accessors(self):
         program = AnnotatedProgram(

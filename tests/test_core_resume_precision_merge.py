@@ -39,19 +39,6 @@ class TestResumeBuffer:
         assert buffer.evicted_count == 1
         assert [e.frame_id for e in buffer] == [1, 2]
 
-    def test_match_pc(self):
-        buffer = ResumePointBuffer()
-        buffer.push(_point(0, pc=0x100))
-        buffer.push(_point(1, pc=0x200))
-        assert buffer.match_pc(0x200).frame_id == 1
-        assert buffer.match_pc(0x300) is None
-
-    def test_match_pc_returns_oldest(self):
-        buffer = ResumePointBuffer()
-        buffer.push(_point(0, pc=0x100))
-        buffer.push(_point(1, pc=0x100))
-        assert buffer.match_pc(0x100).frame_id == 0
-
     def test_remove_after_adoption(self):
         buffer = ResumePointBuffer()
         point = _point(0)
@@ -67,7 +54,7 @@ class TestResumeBuffer:
         buffer.push(point)
         updated = buffer.update(point, elements_done=50)
         assert updated.elements_done == 50
-        assert buffer.match_pc(0x100).elements_done == 50
+        assert [e.elements_done for e in buffer] == [50]
 
     def test_entries_for_frame(self):
         buffer = ResumePointBuffer()

@@ -1,6 +1,5 @@
 """Tests for outage extraction and statistics (Figure 3)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -20,7 +20,7 @@ from repro.kernels import (
     frame_sequence,
 )
 from repro.nvp.isa import KERNEL_MIXES
-from repro.quality import TABLE2_POLICIES, evaluate_qos, psnr
+from repro.quality import TABLE2_POLICIES, evaluate_qos
 
 
 class TestFullIncidentalPipeline:

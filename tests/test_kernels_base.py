@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import KernelError
-from repro.kernels.base import ApproxContext, Kernel, exact_context
+from repro.kernels.base import ApproxContext, exact_context
 from repro.kernels import MedianKernel
 
 

@@ -12,7 +12,6 @@ from repro.kernels import (
     SusanCornersKernel,
     SusanEdgesKernel,
     SusanSmoothingKernel,
-    test_scene as make_scene,
 )
 from repro.quality import psnr
 

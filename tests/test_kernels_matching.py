@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import KernelError
 from repro.kernels import ApproxContext, TemplateMatchKernel, create_kernel
-from repro.kernels.images import test_scene as make_scene
 
 
 def _embed(template, size=40, at=(12, 20), seed=2):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.errors import NVMError
 from repro.nvm.failures import (
-    FailureCounts,
     RetentionFailureModel,
     count_retention_failures,
 )

@@ -11,7 +11,6 @@ from repro.nvm.retention import (
     LinearRetention,
     LogRetention,
     ParabolaRetention,
-    RetentionPolicy,
     STANDARD_POLICY_NAMES,
     UniformRetention,
     WRITE_ENERGY_MEMO_SIZE,

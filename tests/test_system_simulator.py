@@ -5,7 +5,7 @@ import pytest
 
 from repro.energy.traces import PowerTrace
 from repro.errors import SimulationError
-from repro.nvm.retention import LinearRetention, LogRetention
+from repro.nvm.retention import LinearRetention
 from repro.system.config import SystemConfig
 from repro.system.simulator import (
     FixedBitAllocator,
