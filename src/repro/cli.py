@@ -690,9 +690,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             default=None,
             metavar="BYTES",
             help=(
-                "max plan bytes per batch-tier chunk, counted as the "
-                "chunk's trace ticks x 33 B; 0 removes the byte budget "
-                "(default: 256 MiB)"
+                "size budget per batch-tier chunk, counted as the "
+                "chunk's trace ticks x 33 B; it sets how a grid splits, "
+                "not memory, since a chunk plans one trace at a time; "
+                "0 removes the byte budget (default: 256 MiB)"
             ),
         )
         p.add_argument(
