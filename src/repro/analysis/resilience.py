@@ -284,9 +284,6 @@ def run_resilience_grid(
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     engine: str = "reference",
-    task_timeout_s: Optional[float] = None,
-    retries: Optional[int] = None,
-    retry_backoff_s: Optional[float] = None,
 ) -> Tuple[ResiliencePoint, ...]:
     """Run every :class:`ResilienceTask`; points return in task order.
 
@@ -304,10 +301,7 @@ def run_resilience_grid(
     # 21 experiment runners do), while direct CLI invocations fall back
     # to "resilience" instead of an anonymous empty string.
     with telemetry.context(telemetry.current_context() or "resilience"):
-        return run_tasks(
-            tasks, RESILIENCE, workers, cache, engine,
-            task_timeout_s, retries, retry_backoff_s,
-        )
+        return run_tasks(tasks, RESILIENCE, workers, cache, engine)
 
 
 @dataclass(frozen=True)
@@ -380,20 +374,11 @@ class ResilienceCampaign:
         workers: Optional[int] = None,
         cache: Optional[ResultCache] = None,
         engine: str = "reference",
-        task_timeout_s: Optional[float] = None,
-        retries: Optional[int] = None,
-        retry_backoff_s: Optional[float] = None,
     ) -> "CampaignResult":
         """Execute the whole campaign through the robust grid core."""
         tasks = self.tasks()
         points = run_resilience_grid(
-            tasks,
-            workers=workers,
-            cache=cache,
-            engine=engine,
-            task_timeout_s=task_timeout_s,
-            retries=retries,
-            retry_backoff_s=retry_backoff_s,
+            tasks, workers=workers, cache=cache, engine=engine
         )
         return CampaignResult(campaign=self, tasks=tasks, points=points)
 

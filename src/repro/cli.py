@@ -675,28 +675,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             help="re-attempts for a crashed/hung/corrupt task (default: 2)",
         )
         p.add_argument(
-            "--batch-chunk-lanes",
-            type=int,
-            default=None,
-            metavar="N",
-            help=(
-                "max lanes per batch-tier chunk; 0 removes the lane "
-                "budget (default: 1024)"
-            ),
-        )
-        p.add_argument(
-            "--batch-chunk-bytes",
-            type=int,
-            default=None,
-            metavar="BYTES",
-            help=(
-                "size budget per batch-tier chunk, counted as the "
-                "chunk's trace ticks x 33 B; it sets how a grid splits, "
-                "not memory, since a chunk plans one trace at a time; "
-                "0 removes the byte budget (default: 256 MiB)"
-            ),
-        )
-        p.add_argument(
             "--retry-backoff",
             type=float,
             default=None,
@@ -1050,8 +1028,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 task_timeout_s=args.task_timeout,
                 retries=args.retries,
                 retry_backoff_s=args.retry_backoff,
-                batch_chunk_lanes=args.batch_chunk_lanes,
-                batch_chunk_bytes=args.batch_chunk_bytes,
             )
             telemetry.configure(args.telemetry_log)
             obs_capture.configure(

@@ -165,22 +165,6 @@ class STTRAMModel:
         relaxed = self.optimal_write_energy_pj(to_retention_s)
         return 1.0 - relaxed / base
 
-    # -- inversion: what retention does a given drive achieve? -----------
-
-    def achieved_retention_s(self, current_ua: float, pulse_ns: float) -> float:
-        """Retention time achieved by writing with ``current_ua``/``pulse_ns``.
-
-        Inverts :meth:`write_current_ua`.
-        """
-        current = check_positive(current_ua, "current_ua", exc=NVMError)
-        pulse = check_positive(pulse_ns, "pulse_ns", exc=NVMError)
-        ic0 = current / (1.0 + self.t_char_ns / pulse)
-        ratio = ic0 / self.i_ref_ua
-        if ratio <= 0.0:
-            raise NVMError("drive too weak to switch the cell at all")
-        delta = self.reference_stability * ratio ** (1.0 / self.stability_exponent)
-        return _TAU0_S * math.exp(delta)
-
     def current_sweep(
         self, pulse_widths_ns: Sequence[float], retention_s: float
     ) -> Tuple[Tuple[float, float], ...]:

@@ -18,8 +18,8 @@ exactly as Section 8.1 describes them.
 from .isa import InstructionClass, InstructionMix, DEFAULT_MIX
 from .energy_model import EnergyModel
 from .datapath import ApproximateALU, alu_reduce_bits
-from .memory_approx import ApproximateMemory, memory_truncate_bits, memory_quantize
-from .pipeline import PipelineModel, StateSnapshot
+from .memory_approx import memory_truncate_bits
+from .pipeline import PipelineModel
 from .backup import BackupEngine, BackupRecord
 from .processor import NonvolatileProcessor
 from .asm import Instruction, Operand, Program, assemble
@@ -32,11 +32,8 @@ __all__ = [
     "EnergyModel",
     "ApproximateALU",
     "alu_reduce_bits",
-    "ApproximateMemory",
     "memory_truncate_bits",
-    "memory_quantize",
     "PipelineModel",
-    "StateSnapshot",
     "BackupEngine",
     "BackupRecord",
     "NonvolatileProcessor",

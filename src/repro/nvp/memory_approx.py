@@ -1,4 +1,4 @@
-"""Approximate-memory semantics (Section 8.1, Figures 13-14).
+"""Approximate-memory truncation semantics (Section 8.1, Figures 13-14).
 
 "The non-preserved bits in the reduced quality memory are truncated,
 and the operations using their values are treated as shifted N-bit
@@ -20,7 +20,7 @@ import numpy as np
 from .._validation import check_int_in_range
 from ..errors import ProcessorError
 
-__all__ = ["memory_truncate_bits", "memory_quantize", "ApproximateMemory"]
+__all__ = ["memory_truncate_bits"]
 
 
 def memory_truncate_bits(
@@ -45,65 +45,3 @@ def memory_truncate_bits(
     shift = (word_bits - bits_arr).astype(np.int64)
     clipped = np.clip(values.astype(np.int64), 0, (1 << word_bits) - 1)
     return (clipped >> shift) << shift
-
-
-def memory_quantize(
-    values: np.ndarray,
-    bits: Union[int, np.ndarray],
-    word_bits: int = 8,
-) -> np.ndarray:
-    """Return the *shifted* N-bit representation (values in [0, 2^bits)).
-
-    This is the operand form used when an operation runs directly in
-    the reduced-width domain.
-    """
-    values = np.asarray(values)
-    if not np.issubdtype(values.dtype, np.integer):
-        raise ProcessorError("memory_quantize expects integer values")
-    word_bits = check_int_in_range(word_bits, "word_bits", 1, 32, exc=ProcessorError)
-    bits_arr = np.asarray(bits, dtype=np.int64)
-    if np.any(bits_arr < 1) or np.any(bits_arr > word_bits):
-        raise ProcessorError(f"bits must lie in [1, {word_bits}]")
-    bits_arr = np.broadcast_to(bits_arr, values.shape)
-    shift = (word_bits - bits_arr).astype(np.int64)
-    clipped = np.clip(values.astype(np.int64), 0, (1 << word_bits) - 1)
-    return clipped >> shift
-
-
-class ApproximateMemory:
-    """A word array whose reads/writes honour a reliable-bit budget.
-
-    Stores full-width words but truncates on *write* when the active
-    bit budget is below the word width, modelling low-order cells whose
-    contents are not reliably persisted. Access counting lets the
-    executive charge load/store energy.
-    """
-
-    def __init__(self, n_words: int, word_bits: int = 8) -> None:
-        self.n_words = check_int_in_range(n_words, "n_words", 1, exc=ProcessorError)
-        self.word_bits = check_int_in_range(word_bits, "word_bits", 1, 32, exc=ProcessorError)
-        self._data = np.zeros(n_words, dtype=np.int64)
-        self.read_count = 0
-        self.write_count = 0
-
-    def write(self, index, values, bits: Union[int, np.ndarray]) -> None:
-        """Store ``values`` truncated to ``bits`` reliable bits."""
-        truncated = memory_truncate_bits(
-            np.asarray(values, dtype=np.int64), bits, word_bits=self.word_bits
-        )
-        self._data[index] = truncated
-        self.write_count += int(np.asarray(truncated).size)
-
-    def read(self, index, bits: Union[int, np.ndarray]) -> np.ndarray:
-        """Load values, truncated to the *current* reliable-bit budget.
-
-        Reading with fewer bits than were written models a datapath
-        that only senses the upper bit lines this cycle.
-        """
-        raw = self._data[index]
-        self.read_count += int(np.asarray(raw).size)
-        return memory_truncate_bits(raw, bits, word_bits=self.word_bits)
-
-    def read_exact(self, index) -> np.ndarray:
-        """Full-width read (used by quality scoring, not by the NVP)."""
-        return np.array(self._data[index], copy=True)

@@ -2,45 +2,25 @@
 
 The paper's NVP is a simple 5-stage pipeline (IF/ID, ID/EX, EX/MEM,
 MEM/WB latches plus PC) where every pipeline flip-flop is nonvolatile,
-enabling in-situ distributed backup. This module sizes that state —
-which is what the backup engine prices — and provides snapshot and
-restore of the architectural+microarchitectural state the simulator
-tracks.
+enabling in-situ distributed backup. This module sizes that state,
+which is what the backup engine prices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
-
-import numpy as np
+from typing import Sequence, Tuple
 
 from .._validation import check_int_in_range
 from ..errors import ProcessorError
 
-__all__ = ["PipelineModel", "StateSnapshot", "STAGE_NAMES"]
+__all__ = ["PipelineModel", "STAGE_NAMES"]
 
 #: Latch boundaries of the five-stage pipeline, in order.
 STAGE_NAMES: Tuple[str, ...] = ("IF/ID", "ID/EX", "EX/MEM", "MEM/WB")
 
 
-@dataclass(frozen=True)
-class StateSnapshot:
-    """A backup image of the processor's volatile-equivalent state."""
-
-    pc: int
-    stage_words: Dict[str, int]
-    register_banks: np.ndarray
-    tick: int
-
-    @property
-    def total_words(self) -> int:
-        """Number of words captured in the snapshot."""
-        return 1 + len(self.stage_words) + int(self.register_banks.size)
-
-
 class PipelineModel:
-    """Sizes and snapshots the NVP's distributed nonvolatile state.
+    """Sizes the NVP's distributed nonvolatile state.
 
     Parameters
     ----------
@@ -107,27 +87,3 @@ class PipelineModel:
         """State size relative to a single full-precision lane."""
         full = self.base_state_bits + self.lane_state_bits
         return self.state_bits(lane_bits) / full
-
-    # -- snapshotting ---------------------------------------------------------
-
-    def snapshot(
-        self,
-        pc: int,
-        register_banks: np.ndarray,
-        tick: int,
-        stage_words: Dict[str, int] = None,
-    ) -> StateSnapshot:
-        """Capture a :class:`StateSnapshot` of the live state."""
-        pc = check_int_in_range(pc, "pc", 0, (1 << 16) - 1, exc=ProcessorError)
-        tick = check_int_in_range(tick, "tick", 0, exc=ProcessorError)
-        if stage_words is None:
-            stage_words = {name: 0 for name in STAGE_NAMES}
-        unknown = set(stage_words) - set(STAGE_NAMES)
-        if unknown:
-            raise ProcessorError(f"unknown pipeline stages: {sorted(unknown)}")
-        return StateSnapshot(
-            pc=pc,
-            stage_words=dict(stage_words),
-            register_banks=np.array(register_banks, copy=True),
-            tick=tick,
-        )

@@ -300,10 +300,10 @@ def execute_campaign(
 ) -> Tuple[List[str], Dict[str, object]]:
     """Run ``campaign`` through the engine; returns (JSONL lines, summary).
 
-    Uses the process-wide engine configuration (cache, workers, chunk
-    budgets) and the engine's own tier choice exactly like a direct
-    :func:`run_grid` call would — that is the whole point: the service
-    path adds transport, never semantics.
+    Uses the process-wide engine configuration (cache, workers, retries
+    and timeouts) and the engine's own tier choice exactly like a
+    direct :func:`run_grid` call would — that is the whole point: the
+    service path adds transport, never semantics.
 
     Grid and executive campaigns ask :func:`run_tasks` for named entry
     bytes, not values: a warm job streams the bytes the hot tier holds

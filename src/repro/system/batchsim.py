@@ -65,6 +65,8 @@ __all__ = [
     "LaneOutcome",
     "BatchTracePlan",
     "build_trace_plan",
+    "CHUNK_MAX_LANES",
+    "CHUNK_MAX_TICKS",
     "chunk_lane_indices",
     "estimate_plan_bytes",
     "run_fixed_batch",
@@ -192,13 +194,23 @@ def build_trace_plan(
 # feeds a chunk's lanes to the runner ordered by slot and built on
 # demand, so the chunk plans, replays and drops one slot at a time and
 # its plan memory is one slot's, whatever its size. The budgets below
-# size chunks by lane count and by the sum of their slots' ticks (the
-# byte budget charges each tick at a plan's worst-case width); they set
-# how a grid splits and, when a split grid goes to the process pool,
-# cut it finer so the pool's queue can even out the load. Because a
-# lane reads nothing but its own slot, any chunking of a grid is
+# size chunks by lane count and by the sum of their slots' ticks; they
+# set how a grid splits and, when a split grid goes to the process
+# pool, cut it finer so the pool's queue can even out the load. Because
+# a lane reads nothing but its own slot, any chunking of a grid is
 # bit-exact with the unchunked plan by construction (pinned by
 # ``tests/test_batch_chunks.py``).
+
+#: Lane budget of one batch-tier chunk; the engine reads it per call.
+CHUNK_MAX_LANES = 1024
+
+#: Slot-tick budget of one batch-tier chunk; the engine reads it per
+#: call. It is the former 256 MiB plan-byte budget at 33 B per tick, so
+#: every grid splits where it always did. Besides sizing chunks, it
+#: keeps a small grid in one in-process chunk at any worker count: a
+#: grid under it is never cut up for the pool, whose dispatch would
+#: cost more than the replay.
+CHUNK_MAX_TICKS = 8_134_407
 
 #: Worst-case plan bytes per slot tick: conv float64 + sticky uint8
 #: + nonsticky int64 + income int64 + optional direct float64. The
@@ -211,9 +223,9 @@ def estimate_plan_bytes(lengths: Sequence[int]) -> int:
 
     ``lengths`` holds one entry per *slot* (distinct (trace, config)
     pair). :func:`build_trace_plan` stores every slot's ticks once, so
-    the bound is their sum at the worst-case per-tick width. The chunk
-    byte budget is charged in this unit; the runners plan one slot at a
-    time, so a chunk never holds the plan this bounds.
+    the bound is their sum at the worst-case per-tick width. The
+    runners plan one slot at a time, so a chunk never holds the plan
+    this bounds, only one slot's share of it.
     """
     return sum(int(n) for n in lengths) * _PLAN_BYTES_PER_TICK
 
@@ -248,7 +260,7 @@ def chunk_lane_indices(
     lengths: Sequence[int],
     keys: Optional[Sequence] = None,
     max_lanes: Optional[int] = None,
-    max_bytes: Optional[int] = None,
+    max_ticks: Optional[int] = None,
     workers: int = 1,
 ) -> List[List[int]]:
     """Partition lanes into budgeted, dedup-aware chunks.
@@ -265,16 +277,16 @@ def chunk_lane_indices(
         slot is built once per chunk rather than once per lane.
         ``None`` treats every lane as its own slot.
     max_lanes:
-        Lane-count budget per chunk (``--batch-chunk-lanes``). The only
-        budget that splits a dedup group.
-    max_bytes:
-        Byte budget per chunk, compared against
-        :func:`estimate_plan_bytes` of the chunk's slots, so in effect a
-        budget of slot ticks. It sizes chunks (and so the pool split);
-        it does not bound memory, since a chunk replays one slot's plan
-        at a time. A chunk always admits at least one dedup group even
-        when that group alone exceeds the budget (a budget cannot split
-        a slot).
+        Lane-count budget per chunk (the engine passes
+        :data:`CHUNK_MAX_LANES`). The only budget that splits a dedup
+        group.
+    max_ticks:
+        Budget per chunk of the sum of its slots' ticks (the engine
+        passes :data:`CHUNK_MAX_TICKS`). It sizes chunks (and so the
+        pool split); it does not bound memory, since a chunk replays
+        one slot's plan at a time. A chunk always admits at least one
+        dedup group even when that group alone exceeds the budget (a
+        budget cannot split a slot).
     workers:
         Size of the process pool the chunks will run on. When the
         budgets split the grid and ``workers > 1``, the groups are
@@ -295,12 +307,12 @@ def chunk_lane_indices(
         )
     if max_lanes is not None:
         max_lanes = check_int_in_range(max_lanes, "max_lanes", 1, 1 << 40)
-    if max_bytes is not None:
-        max_bytes = check_int_in_range(max_bytes, "max_bytes", 1, 1 << 60)
+    if max_ticks is not None:
+        max_ticks = check_int_in_range(max_ticks, "max_ticks", 1, 1 << 60)
     workers = check_int_in_range(workers, "workers", 1)
     if n_lanes == 0:
         return []
-    if max_lanes is None and max_bytes is None:
+    if max_lanes is None and max_ticks is None:
         return [list(range(n_lanes))]
 
     # Group lanes by dedup key, preserving first-seen order for ties.
@@ -327,9 +339,6 @@ def chunk_lane_indices(
             units.append((length, order, lanes))
     units.sort(key=lambda u: (-u[0], u[1]))
 
-    # An integer tick count t has t * 33 > max_bytes exactly when
-    # t > max_bytes // 33, so the byte budget is a tick budget.
-    max_ticks = None if max_bytes is None else max_bytes // _PLAN_BYTES_PER_TICK
     chunks = _pack_units(units, max_lanes, max_ticks)
     if len(chunks) > 1 and workers > 1:
         total = sum(length for length, _, _ in units)

@@ -30,6 +30,7 @@ from repro.analysis.engine import (
     simulation_results_equal,
 )
 from repro.obs import capture as obs_capture
+from repro.system import batchsim
 from repro.system.batchsim import batch_available
 
 pytestmark = [
@@ -138,17 +139,20 @@ class TestCacheTierIndependence:
     def _fixed_keyed_files(self, cache_dir):
         return {p.name: p.read_bytes() for p in sorted(cache_dir.glob("*.npz"))}
 
-    def test_fixed_cache_entries_byte_identical_across_tiers(self, tmp_path):
+    def test_fixed_cache_entries_byte_identical_across_tiers(
+        self, tmp_path, monkeypatch
+    ):
         grid = GridSpec(profile_ids=(1, 3), bits=(8, 2), duration_s=1.0)
         dirs = {}
         for tier, chunk_lanes, plan, engine in (
-            ("batch", 0, None, "auto"),
+            ("batch", None, None, "auto"),
             ("chunked-batch", 2, None, "auto"),
-            ("fast", 0, faults.FaultPlan(faults={}), "auto"),
-            ("reference", 0, None, "reference"),
+            ("fast", None, faults.FaultPlan(faults={}), "auto"),
+            ("reference", None, None, "reference"),
         ):
             engine_mod.reset()
-            engine_mod.configure(use_cache=True, batch_chunk_lanes=chunk_lanes)
+            engine_mod.configure(use_cache=True)
+            monkeypatch.setattr(batchsim, "CHUNK_MAX_LANES", chunk_lanes)
             cache = ResultCache(tmp_path / tier)
             with nullcontext() if plan is None else faults.injected(plan):
                 run_grid(grid, cache=cache, engine=engine)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import engine, telemetry
+from repro.core.executive import clear_quality_memo
 from repro.errors import ConfigurationError
 
 
@@ -46,7 +47,6 @@ EXEC_TASK = engine.ExecutiveTask(
 def _seed_fixed_entry(cache):
     """Run the one-task grid through ``cache``; returns (key, path)."""
     engine.run_grid([TASK], workers=1, cache=cache)
-    engine.clear_memory_cache()
     key = TASK.cache_key()
     path = cache._path(key)
     assert path.exists()
@@ -55,7 +55,7 @@ def _seed_fixed_entry(cache):
 
 def _seed_executive_entry(cache):
     engine.run_executive_grid([EXEC_TASK], workers=1, cache=cache)
-    engine.clear_memory_cache()
+    clear_quality_memo()
     key = EXEC_TASK.cache_key()
     path = cache._path(key, engine.EXECUTIVE)
     assert path.exists()
@@ -158,7 +158,6 @@ CORRUPTIONS = {
 def test_get_quarantines_and_recomputes(tmp_path, corrupt):
     cache = engine.ResultCache(tmp_path)
     clean = engine.run_grid([TASK], workers=1, cache=cache)
-    engine.clear_memory_cache()
     key = TASK.cache_key()
     path = cache._path(key)
     corrupt(path)
@@ -183,7 +182,7 @@ def test_get_quarantines_and_recomputes(tmp_path, corrupt):
 def test_get_executive_quarantines_and_recomputes(tmp_path, corrupt):
     cache = engine.ResultCache(tmp_path)
     clean = engine.run_executive_grid([EXEC_TASK], workers=1, cache=cache)
-    engine.clear_memory_cache()
+    clear_quality_memo()
     key = EXEC_TASK.cache_key()
     path = cache._path(key, engine.EXECUTIVE)
     corrupt(path)
@@ -237,7 +236,7 @@ def test_foreign_schema_resilience_point_is_quarantined(tmp_path):
     )
     cache = engine.ResultCache(tmp_path)
     (clean,) = campaign.run(workers=1, cache=cache).points
-    engine.clear_memory_cache()
+    clear_quality_memo()
     (task,) = campaign.tasks()
     path = tmp_path / f"res-{task.cache_key()}.npz"
     foreign = engine.point_entry_bytes({**clean.to_dict(), "bogus_field": 1})

@@ -279,7 +279,7 @@ class TestReportCommand:
 
 @pytest.mark.fleet
 class TestFleetWiring:
-    """The fleet artifact and chunk knobs ride the standard CLI paths."""
+    """The fleet artifact rides the standard CLI paths."""
 
     @pytest.fixture(autouse=True)
     def _fresh_engine(self, monkeypatch):
@@ -297,31 +297,6 @@ class TestFleetWiring:
         out = capsys.readouterr().out
         assert "[fleet]" in out
         assert "archetype" in out
-
-    def test_chunk_flags_configure_engine(self, capsys):
-        assert (
-            main(
-                [
-                    "run",
-                    "fleet",
-                    "--no-cache",
-                    "--batch-chunk-lanes",
-                    "3",
-                    "--batch-chunk-bytes",
-                    "0",
-                ]
-            )
-            == 0
-        )
-        assert engine._CONFIG["batch_chunk_lanes"] == 3
-        assert engine._CONFIG["batch_chunk_bytes"] == 0
-
-    def test_invalid_chunk_flag_fails_cleanly(self, capsys):
-        assert (
-            main(["run", "fleet", "--batch-chunk-lanes", "-2", "--no-cache"])
-            == 2
-        )
-        assert "error" in capsys.readouterr().err
 
     def test_cache_info_lists_fleet_row(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")

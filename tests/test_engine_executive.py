@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import engine
+from repro.core.executive import clear_quality_memo
 from repro.errors import ConfigurationError, EngineExecutionError
 
 DURATION = 0.4
@@ -129,7 +130,7 @@ def _small_tasks():
 def test_executive_grid_workers_1_vs_4_identical():
     tasks = _small_tasks()
     serial = engine.run_executive_grid(tasks, workers=1)
-    engine.clear_memory_cache()
+    clear_quality_memo()
     parallel = engine.run_executive_grid(tasks, workers=4)
     assert serial.equal(parallel)
     assert len(serial) == len(tasks)
@@ -143,7 +144,7 @@ def test_executive_grid_cache_hit_equals_miss(tmp_path):
     engine.configure(cache_dir=tmp_path)
     tasks = _small_tasks()
     cold = engine.run_executive_grid(tasks)
-    engine.clear_memory_cache()
+    clear_quality_memo()
     warm = engine.run_executive_grid(tasks)
     assert cold.equal(warm)
 
@@ -191,7 +192,7 @@ def test_warm_cache_serves_without_recompute(tmp_path, monkeypatch):
     monkeypatch.setattr(engine.ExecutiveTask, "build_executive", _boom)
     # Disk hits, also after the exact-reference memo is dropped.
     assert engine.executive_results_equal(first, _run_one(task))
-    engine.clear_memory_cache()
+    clear_quality_memo()
     assert engine.executive_results_equal(first, _run_one(task))
     assert engine.default_cache().hits == 2
     # A changed knob is a miss and must try to re-execute.

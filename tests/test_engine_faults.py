@@ -24,11 +24,12 @@ pytestmark = pytest.mark.fault_injection
 
 @pytest.fixture(autouse=True)
 def _fresh_engine():
-    """Isolated engine/telemetry/fault state, with memoisation off."""
+    """Isolated engine/telemetry/fault state, with memoisation off and
+    retries that do not back off."""
     engine.reset()
     telemetry.reset()
     faults.clear()
-    engine.configure(use_cache=False)
+    engine.configure(use_cache=False, retry_backoff_s=0.0)
     yield
     faults.clear()
     telemetry.reset()
@@ -112,7 +113,7 @@ def test_fixed_grid_serial_bit_exact_under_crash_and_corrupt():
         11, n_tasks=len(SPEC.tasks()), crashes=1, corrupts=1, scope="fixed"
     )
     with faults.injected(plan):
-        faulty = engine.run_grid(SPEC, workers=1, retry_backoff_s=0.0)
+        faulty = engine.run_grid(SPEC, workers=1)
     assert clean.equal(faulty)
     report = telemetry.last_report(kind="fixed")
     _assert_counters_match(report, plan)
@@ -125,7 +126,7 @@ def test_fixed_grid_pool_bit_exact_under_faults():
         5, n_tasks=len(SPEC.tasks()), crashes=1, corrupts=1, scope="fixed"
     )
     with faults.injected(plan):
-        faulty = engine.run_grid(SPEC, workers=3, retry_backoff_s=0.0)
+        faulty = engine.run_grid(SPEC, workers=3)
     assert clean.equal(faulty)
     report = telemetry.last_report(kind="fixed")
     _assert_counters_match(report, plan)
@@ -139,10 +140,9 @@ def test_fixed_grid_pool_hang_degrades_and_stays_bit_exact():
     plan = faults.FaultPlan.seeded(
         3, n_tasks=len(SPEC.tasks()), hangs=1, hang_s=30.0, scope="fixed"
     )
+    engine.configure(task_timeout_s=0.75)
     with faults.injected(plan):
-        faulty = engine.run_grid(
-            SPEC, workers=2, task_timeout_s=0.75, retry_backoff_s=0.0
-        )
+        faulty = engine.run_grid(SPEC, workers=2)
     assert clean.equal(faulty)
     report = telemetry.last_report(kind="fixed")
     assert report.timeouts == 1
@@ -158,7 +158,7 @@ def test_abandoned_pool_does_not_hold_the_process_open():
     script = textwrap.dedent(
         """
         from repro.analysis import engine, faults, telemetry
-        engine.configure(use_cache=False)
+        engine.configure(use_cache=False, retry_backoff_s=0.0)
         spec = engine.GridSpec(
             profile_ids=(1, 2), bits=(8, 3), kernels=("median",), duration_s=0.4
         )
@@ -166,10 +166,9 @@ def test_abandoned_pool_does_not_hold_the_process_open():
         plan = faults.FaultPlan.seeded(
             3, n_tasks=len(spec.tasks()), hangs=1, hang_s=60.0, scope="fixed"
         )
+        engine.configure(task_timeout_s=0.5)
         with faults.injected(plan):
-            faulty = engine.run_grid(
-                spec, workers=2, task_timeout_s=0.5, retry_backoff_s=0.0
-            )
+            faulty = engine.run_grid(spec, workers=2)
         assert clean.equal(faulty)
         assert telemetry.last_report(kind="fixed").degraded
         print("ok")
@@ -215,9 +214,10 @@ def test_exhausted_retries_raise_engine_execution_error():
         },
         scope="fixed",
     )
+    engine.configure(retries=1)
     with faults.injected(plan):
         with pytest.raises(EngineExecutionError):
-            engine.run_grid(SPEC, workers=1, retries=1, retry_backoff_s=0.0)
+            engine.run_grid(SPEC, workers=1)
     report = telemetry.last_report(kind="fixed")
     assert report.failed == 1
     assert report.crashes == 2
@@ -233,9 +233,7 @@ def test_executive_grid_serial_bit_exact_under_faults():
         13, n_tasks=len(tasks), crashes=1, corrupts=1, scope="executive"
     )
     with faults.injected(plan):
-        faulty = engine.run_executive_grid(
-            tasks, workers=1, retry_backoff_s=0.0
-        )
+        faulty = engine.run_executive_grid(tasks, workers=1)
     assert clean.equal(faulty)
     report = telemetry.last_report(kind="executive")
     _assert_counters_match(report, plan)
@@ -248,9 +246,7 @@ def test_executive_grid_pool_bit_exact_under_faults():
         17, n_tasks=len(tasks), corrupts=1, scope="executive"
     )
     with faults.injected(plan):
-        faulty = engine.run_executive_grid(
-            tasks, workers=2, retry_backoff_s=0.0
-        )
+        faulty = engine.run_executive_grid(tasks, workers=2)
     assert clean.equal(faulty)
     report = telemetry.last_report(kind="executive")
     _assert_counters_match(report, plan)
@@ -267,9 +263,7 @@ def test_trace_run_bit_exact_under_crash():
         19, n_tasks=len(tasks), crashes=1, scope="trace"
     )
     with faults.injected(plan):
-        faulty = engine.run_on_trace(
-            trace, tasks, workers=1, retry_backoff_s=0.0
-        )
+        faulty = engine.run_on_trace(trace, tasks, workers=1)
     assert len(clean) == len(faulty)
     for a, b in zip(clean, faulty):
         assert engine.simulation_results_equal(a, b)

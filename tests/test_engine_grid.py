@@ -209,6 +209,29 @@ def test_use_cache_false_bypasses_all_caching(tmp_path):
     assert len(list(tmp_path.glob("*.npz"))) == 0
 
 
+def test_configure_checks_every_argument_before_changing_any(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    before = dict(engine._CONFIG)
+    for kwargs in (
+        {"workers": 0},
+        {"task_timeout_s": -1.0},
+        {"task_timeout_s": float("nan")},
+        {"retries": -1},
+        {"retry_backoff_s": -0.1},
+        {"retry_backoff_s": float("nan")},
+        # A bad argument after good ones applies none of them.
+        {"workers": 4, "use_cache": False, "retries": -1},
+        {"workers": 3, "cache_dir": blocker},
+        {"retries": 5, "cache": object()},
+        {"workers": 2, "cache": engine.ResultCache(tmp_path / "a"),
+         "cache_dir": tmp_path / "b"},
+    ):
+        with pytest.raises(ConfigurationError):
+            engine.configure(**kwargs)
+        assert engine._CONFIG == before, kwargs
+
+
 # -- task kinds ---------------------------------------------------------------
 
 
@@ -284,13 +307,13 @@ def test_task_kind_record(tmp_path, kind):
 
     # Any worker count gives the same results and report counters, with
     # a seeded crash retried under the kind's fault scope.
-    engine.configure(use_cache=False)
+    engine.configure(use_cache=False, retry_backoff_s=0.0)
     runs = []
     for workers in (1, 2):
         plan = faults.FaultPlan.seeded(3, n_tasks=3, crashes=1, scope=kind.name)
         with faults.injected(plan):
             results = engine.run_tasks(
-                tasks, kind, workers=workers, retry_backoff_s=0.0,
+                tasks, kind, workers=workers,
                 engine="reference" if kind is engine.RESILIENCE else "auto",
             )
         report = telemetry.last_report(kind=kind.name)

@@ -7,9 +7,13 @@ chunk-sharded batch tier, ``fleet-`` prefixed cache entries, and the
 ``repro-experiments`` artifact registry.
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.analysis import telemetry
+from repro.analysis import runtable, telemetry
 from repro.analysis import engine as engine_mod
 from repro.analysis.engine import ResultCache, simulation_results_equal
 from repro.errors import ConfigurationError
@@ -21,7 +25,11 @@ from repro.fleet import (
     clear_fleet_trace_memo,
     run_fleet,
 )
+from repro.service.protocol import parse_campaign
+from repro.system import batchsim
 from repro.system.batchsim import batch_available
+
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 pytestmark = pytest.mark.fleet
 
@@ -127,14 +135,42 @@ class TestRunFleet:
         assert batched.progress_percentiles == reference.progress_percentiles
         assert batched.availability_cdf == reference.availability_cdf
 
-    def test_chunked_matches_unchunked(self):
-        engine_mod.configure(batch_chunk_lanes=0, batch_chunk_bytes=0)
+    def test_chunked_matches_unchunked(self, monkeypatch):
+        default_ticks = batchsim.CHUNK_MAX_TICKS
+        monkeypatch.setattr(batchsim, "CHUNK_MAX_LANES", None)
+        monkeypatch.setattr(batchsim, "CHUNK_MAX_TICKS", None)
         whole = run_fleet(SMALL)
         engine_mod.reset()
-        engine_mod.configure(use_cache=False, batch_chunk_lanes=5)
+        engine_mod.configure(use_cache=False)
+        monkeypatch.setattr(batchsim, "CHUNK_MAX_LANES", 5)
+        monkeypatch.setattr(batchsim, "CHUNK_MAX_TICKS", default_ticks)
         chunked = run_fleet(SMALL, workers=2)
         for a, b in zip(whole.results, chunked.results):
             assert simulation_results_equal(a, b)
+
+    def test_pooled_chunks_keep_the_run_table_digest(self, monkeypatch):
+        # The committed fleet campaign is one chunk under the default
+        # budgets; 16-lane chunks send every device through pooled chunk
+        # dispatch, and the CSV must still match the committed digest
+        # byte for byte.
+        payload = json.loads((RESULTS / "fleet_runtable.json").read_text())
+        digest = (RESULTS / "fleet_runtable.sha256").read_text().split()[0]
+        campaign = parse_campaign(payload)
+        monkeypatch.setattr(batchsim, "CHUNK_MAX_LANES", 16)
+        pools = []
+
+        class CountingPool(engine_mod.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", CountingPool)
+        engine_mod.configure(workers=2)
+        table = runtable.run_table_for_campaign(campaign)
+        assert hashlib.sha256(table.to_csv_bytes()).hexdigest() == digest
+        if batch_available():
+            assert pools == [2]
+            assert not telemetry.last_report().degraded
 
     def test_distribution_shapes(self):
         result = run_fleet(SMALL)
@@ -183,7 +219,6 @@ class TestRunFleet:
         engine_mod.configure(use_cache=True)
         cache = ResultCache(tmp_path)
         first = run_fleet(SMALL, cache=cache)
-        engine_mod.clear_memory_cache()
         second = run_fleet(SMALL, cache=cache)
         report = telemetry.last_report()
         assert all(t.status == "cache-hit" for t in report.tasks)

@@ -1,8 +1,6 @@
 """Tests for the STT-RAM write model (Figure 4)."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import NVMError
 from repro.nvm.sttram import RETENTION_10MS_S, RETENTION_ONE_DAY_S, STTRAMModel
@@ -73,28 +71,6 @@ class TestWriteEnergy:
         energy = cell.write_energy_pj(2.0, 1.0)
         expected = cell.write_voltage_v * cell.write_current_ua(2.0, 1.0) * 2.0e-3
         assert energy == pytest.approx(expected)
-
-
-class TestInversion:
-    @given(st.floats(min_value=0.5, max_value=9.0))
-    @settings(max_examples=40, deadline=None)
-    def test_achieved_retention_round_trips(self, pulse):
-        cell = STTRAMModel()
-        retention = 1.0  # 1 s
-        current = cell.write_current_ua(pulse, retention)
-        achieved = cell.achieved_retention_s(current, pulse)
-        assert achieved == pytest.approx(retention, rel=1e-6)
-
-    def test_stronger_drive_achieves_longer_retention(self):
-        cell = STTRAMModel()
-        weak = cell.achieved_retention_s(80.0, 2.0)
-        strong = cell.achieved_retention_s(120.0, 2.0)
-        assert strong > weak
-
-    def test_rejects_nonpositive_drive(self):
-        cell = STTRAMModel()
-        with pytest.raises(NVMError):
-            cell.achieved_retention_s(0.0, 1.0)
 
 
 class TestModelValidation:

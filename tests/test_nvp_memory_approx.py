@@ -1,4 +1,4 @@
-"""Tests for the truncating approximate memory."""
+"""Tests for the approximate memory's truncation semantics."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProcessorError
-from repro.nvp.memory_approx import (
-    ApproximateMemory,
-    memory_quantize,
-    memory_truncate_bits,
-)
+from repro.nvp.memory_approx import memory_truncate_bits
 
 
 class TestTruncation:
@@ -53,49 +49,3 @@ class TestTruncation:
         quantum = 1 << (8 - bits)
         assert np.all(arr - out >= 0)
         assert np.all(arr - out < quantum)
-
-
-class TestQuantize:
-    def test_shifted_domain(self):
-        out = memory_quantize(np.array([0xFF]), 4)
-        assert out[0] == 0x0F
-
-    def test_consistent_with_truncation(self):
-        values = np.arange(256)
-        quantised = memory_quantize(values, 5)
-        truncated = memory_truncate_bits(values, 5)
-        np.testing.assert_array_equal(quantised << 3, truncated)
-
-    def test_range(self):
-        out = memory_quantize(np.arange(256), 2)
-        assert out.max() == 3 and out.min() == 0
-
-
-class TestApproximateMemory:
-    def test_write_truncates(self):
-        mem = ApproximateMemory(8)
-        mem.write(0, 0xFF, 4)
-        assert mem.read_exact(0) == 0xF0
-
-    def test_read_truncates_further(self):
-        mem = ApproximateMemory(8)
-        mem.write(0, 0xFF, 8)
-        assert mem.read(0, 2) == 0xC0
-
-    def test_access_counting(self):
-        mem = ApproximateMemory(16)
-        mem.write(slice(0, 4), np.arange(4), 8)
-        mem.read(slice(0, 4), 8)
-        assert mem.write_count == 4
-        assert mem.read_count == 4
-
-    def test_read_exact_is_copy(self):
-        mem = ApproximateMemory(4)
-        mem.write(0, 10, 8)
-        out = mem.read_exact(slice(None))
-        out[0] = 99
-        assert mem.read_exact(0) == 10
-
-    def test_size_validated(self):
-        with pytest.raises(ProcessorError):
-            ApproximateMemory(0)

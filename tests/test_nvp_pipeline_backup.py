@@ -1,6 +1,5 @@
 """Tests for pipeline state sizing and the backup engine."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ProcessorError
@@ -45,15 +44,6 @@ class TestPipelineSizing:
             pipeline.state_bits([])
         with pytest.raises(ProcessorError):
             pipeline.state_bits([8] * 5)
-
-    def test_snapshot(self, pipeline):
-        snap = pipeline.snapshot(pc=0x100, register_banks=np.zeros((4, 16)), tick=5)
-        assert snap.pc == 0x100
-        assert snap.total_words == 1 + 4 + 64
-
-    def test_snapshot_rejects_unknown_stage(self, pipeline):
-        with pytest.raises(ProcessorError):
-            pipeline.snapshot(0, np.zeros(4), 0, stage_words={"EX2/MEM": 1})
 
 
 class TestBackupEngine:

@@ -23,6 +23,7 @@ from repro.analysis.resilience import (
     corrupt_resilience_point,
     resilience_payload_error,
 )
+from repro.core.executive import clear_quality_memo
 from repro.nvp.backup import BackupRecord
 from repro.nvp.processor import NonvolatileProcessor
 from repro.resilience import (
@@ -311,7 +312,7 @@ class TestFaultDeterminism:
         )
         cache = engine.ResultCache(tmp_path / "cache")
         first = campaign.run(workers=1, cache=cache)
-        engine.clear_memory_cache()
+        clear_quality_memo()
         second = campaign.run(workers=1, cache=cache)
         assert first.equal(second)
         report = engine.telemetry.last_report("resilience")

@@ -235,7 +235,6 @@ def test_grid_run_writes_event_log_end_to_end(tmp_path):
     telemetry.configure(log)
     task = engine.FixedBitTask(profile_id=1, bits=8, duration_s=0.3)
     engine.run_grid([task], workers=1)
-    engine.clear_memory_cache()
     totals = telemetry.summarize_events(telemetry.read_events(log))
     assert totals["runs"] == 1
     assert totals["tasks"] == 1
