@@ -1921,7 +1921,10 @@ def _merge_batch_outcomes(
 # A chunk replays one trace slot at a time (:func:`_by_slot`), so it
 # holds one slot's trace and plan beside its results however many
 # ticks it spans: the budgets set how many chunks a grid makes and how
-# they spread over the pool, not plan memory.
+# they spread over the pool, not plan memory. A pooled chunk's outcomes
+# travel back pickled, and each ``SimulationResult`` (an executive
+# result's ``sim`` too) pickles its bit and lane schedules as runs, so
+# a 337-lane fleet chunk sends about 0.17 MB instead of 13.6 MB.
 # Results and cache entries are byte-identical across any chunking — a
 # lane reads only its own slot, and per-lane setup depends on nothing
 # else (``tests/test_batch_chunks.py``). Every task that reaches the

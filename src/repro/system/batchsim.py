@@ -68,7 +68,6 @@ __all__ = [
     "CHUNK_MAX_LANES",
     "CHUNK_MAX_TICKS",
     "chunk_lane_indices",
-    "estimate_plan_bytes",
     "run_fixed_batch",
     "batch_available",
 ]
@@ -211,23 +210,6 @@ CHUNK_MAX_LANES = 1024
 #: grid under it is never cut up for the pool, whose dispatch would
 #: cost more than the replay.
 CHUNK_MAX_TICKS = 8_134_407
-
-#: Worst-case plan bytes per slot tick: conv float64 + sticky uint8
-#: + nonsticky int64 + income int64 + optional direct float64. The
-#: skip schedules hold at most one entry per tick, so this bounds them.
-_PLAN_BYTES_PER_TICK = 33
-
-
-def estimate_plan_bytes(lengths: Sequence[int]) -> int:
-    """Upper-bound the bytes of one plan over slots of ``lengths``.
-
-    ``lengths`` holds one entry per *slot* (distinct (trace, config)
-    pair). :func:`build_trace_plan` stores every slot's ticks once, so
-    the bound is their sum at the worst-case per-tick width. The
-    runners plan one slot at a time, so a chunk never holds the plan
-    this bounds, only one slot's share of it.
-    """
-    return sum(int(n) for n in lengths) * _PLAN_BYTES_PER_TICK
 
 
 def _pack_units(

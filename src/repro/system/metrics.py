@@ -40,6 +40,10 @@ class SimulationResult:
         the series plotted in Figure 18.
     lane_schedule:
         Per-tick active lane count (0 when off).
+
+    A result pickles its two schedules as runs (see
+    :meth:`__reduce_ex__`), so a process-pool worker sends a few
+    values per change of (bit, lane) pair rather than two per tick.
     """
 
     total_ticks: int
@@ -64,6 +68,43 @@ class SimulationResult:
             raise SimulationError("bit_schedule length must equal total_ticks")
         if len(self.lane_schedule) != self.total_ticks:
             raise SimulationError("lane_schedule length must equal total_ticks")
+
+    def __reduce_ex__(self, protocol):
+        """Pickle the two schedules as runs of equal (bit, lane) pairs.
+
+        Each run is cut wherever either schedule changes and sends its
+        length, bit and lane as raw bytes beside the dtype strings;
+        the other fields travel as default pickling sends them.
+        :func:`_result_from_runs` sets every field back without running
+        ``__post_init__``, as default pickling does, so a malformed
+        result still unpickles and reaches the engine's payload check.
+        A result whose schedules are not two non-empty 1-D integer
+        arrays of equal length pickles exactly as default.
+        """
+        bits, lanes = self.bit_schedule, self.lane_schedule
+        if not (_is_int_vector(bits) and _is_int_vector(lanes)) or not (
+            0 < len(bits) == len(lanes)
+        ):
+            return super().__reduce_ex__(protocol)
+        changes = bits[1:] != bits[:-1]
+        changes |= lanes[1:] != lanes[:-1]
+        ends = np.append(changes.nonzero()[0], len(bits) - 1)
+        run_lengths = np.empty_like(ends)
+        run_lengths[0] = ends[0] + 1
+        np.subtract(ends[1:], ends[:-1], out=run_lengths[1:])
+        state = dict(self.__dict__)
+        del state["bit_schedule"], state["lane_schedule"]
+        return (
+            _result_from_runs,
+            (
+                state,
+                run_lengths.astype(np.int64, copy=False).tobytes(),
+                bits.dtype.str,
+                bits[ends].tobytes(),
+                lanes.dtype.str,
+                lanes[ends].tobytes(),
+            ),
+        )
 
     # -- headline metrics ---------------------------------------------------
 
@@ -127,3 +168,31 @@ class SimulationResult:
             f"backups={self.backup_count}, on={100 * self.system_on_fraction:.1f}%, "
             f"backup-energy={100 * self.backup_energy_share:.1f}% of income"
         )
+
+
+def _is_int_vector(value: object) -> bool:
+    return (
+        type(value) is np.ndarray and value.ndim == 1 and value.dtype.kind in "iu"
+    )
+
+
+def _result_from_runs(
+    state: Dict[str, object],
+    run_lengths: bytes,
+    bit_dtype: str,
+    run_bits: bytes,
+    lane_dtype: str,
+    run_lanes: bytes,
+) -> SimulationResult:
+    """Unpickle a :class:`SimulationResult` sent as runs; each schedule
+    comes back as a fresh array of its sent dtype that owns its memory."""
+    lengths = np.frombuffer(run_lengths, dtype=np.int64)
+    result = object.__new__(SimulationResult)
+    result.__dict__.update(state)
+    result.__dict__["bit_schedule"] = np.repeat(
+        np.frombuffer(run_bits, dtype=bit_dtype), lengths
+    )
+    result.__dict__["lane_schedule"] = np.repeat(
+        np.frombuffer(run_lanes, dtype=lane_dtype), lengths
+    )
+    return result

@@ -28,12 +28,7 @@ from repro.analysis.engine import (
 )
 from repro.fleet import FleetSpec
 from repro.system import batchsim
-from repro.system.batchsim import (
-    _PLAN_BYTES_PER_TICK,
-    batch_available,
-    chunk_lane_indices,
-    estimate_plan_bytes,
-)
+from repro.system.batchsim import batch_available, chunk_lane_indices
 
 pytestmark = [pytest.mark.batch, pytest.mark.fleet]
 
@@ -119,11 +114,6 @@ class TestChunkPlanning:
             chunk_lane_indices([1], max_ticks=0)
         with pytest.raises(Exception):
             chunk_lane_indices([1], max_ticks=1, workers=0)
-
-    def test_estimate_plan_bytes(self):
-        # Each slot's ticks are stored once: the sum, not n x longest.
-        assert estimate_plan_bytes([]) == 0
-        assert estimate_plan_bytes([10, 20, 5]) == 35 * _PLAN_BYTES_PER_TICK
 
     @given(
         lengths=st.lists(

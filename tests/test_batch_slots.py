@@ -5,10 +5,12 @@ slot and build, plan, replay and drop one slot before the next. The
 contract under test: a chunk whose lanes interleave slots builds one
 one-slot plan per slot, and its outcomes come back in lane order, each
 the reference loop's result (or a refusal where the reference raises);
-and while the chunk runs it holds little beyond its results and the
-trace memo.
+while the chunk runs it holds little beyond its results and the
+trace memo; and its outcomes pickle, as a pool worker sends them back,
+to a small fraction of their schedules' bytes.
 """
 
+import pickle
 import tracemalloc
 from dataclasses import dataclass
 
@@ -26,7 +28,7 @@ from repro.errors import SimulationError
 from repro.fleet import FleetSpec
 from repro.fleet.spec import FleetDeviceTask
 from repro.system import batchsim
-from repro.system.batchsim import batch_available, estimate_plan_bytes
+from repro.system.batchsim import batch_available
 from repro.system.config import SystemConfig
 
 pytestmark = [
@@ -191,8 +193,27 @@ def test_executive_chunk_plans_each_slot_once_and_matches_the_reference(
 ALLOWANCE_BYTES = 1 << 20
 
 
+#: 64 devices, each on a trace of its own.
+FLEET_TASKS = FleetSpec(n_devices=64, seed=3, duration_s=0.5).tasks()
+
+
+def _schedule_bytes(outcomes):
+    return sum(
+        o.result.bit_schedule.nbytes + o.result.lane_schedule.nbytes
+        for o in outcomes
+    )
+
+
+def _one_slot_plan_bytes(task):
+    """Bytes of the one-slot plan the fixed runner builds for ``task``."""
+    plan = batchsim.build_trace_plan([(task.build_trace(), task.system_config())])
+    per_slot = plan.conv + plan.direct + plan.sticky + plan.nonsticky + plan.income
+    arrays = [plan.lengths, plan.slot_of, *per_slot]
+    return sum(a.nbytes for a in arrays if a is not None)
+
+
 def test_a_fleet_chunk_holds_one_slot_at_a_time():
-    tasks = FleetSpec(n_devices=64, seed=3, duration_s=0.5).tasks()
+    tasks = FLEET_TASKS
     assert len({task.trace_signature() for task in tasks}) == len(tasks)
     tracemalloc.start()
     try:
@@ -202,14 +223,23 @@ def test_a_fleet_chunk_holds_one_slot_at_a_time():
     finally:
         tracemalloc.stop()
     assert all(outcome.result is not None for outcome in outcomes)
-    result_bytes = sum(
-        o.result.bit_schedule.nbytes + o.result.lane_schedule.nbytes
-        for o in outcomes
-    )
-    two_plans = 2 * estimate_plan_bytes([max(t.trace_ticks() for t in tasks)])
+    result_bytes = _schedule_bytes(outcomes)
+    two_plans = 2 * _one_slot_plan_bytes(max(tasks, key=lambda t: t.trace_ticks()))
     bound = result_bytes + engine_mod.TRACE_MEMO.charge + two_plans + ALLOWANCE_BYTES
     assert peak - base < bound, (
         f"peak {peak - base} B > {result_bytes} B of results + "
         f"{engine_mod.TRACE_MEMO.charge} B of memoised traces + {two_plans} B "
         f"for two slots' plans + {ALLOWANCE_BYTES} B"
+    )
+
+
+def test_a_fleet_chunk_pickles_to_a_tenth_of_its_schedules():
+    # What a pool worker sends back for this chunk: each result's
+    # schedules travel as runs, not as two int16 values per tick.
+    outcomes = engine_mod.FIXED.batch(FLEET_TASKS)
+    assert all(outcome.result is not None for outcome in outcomes)
+    schedule_bytes = _schedule_bytes(outcomes)
+    pickled = len(pickle.dumps(outcomes))
+    assert pickled <= schedule_bytes / 10, (
+        f"pickled outcomes take {pickled} B for {schedule_bytes} B of schedules"
     )
